@@ -85,7 +85,7 @@ fn bench_ls_vs_m(c: &mut Criterion) {
     for &m in &[100usize, 200, 400] {
         let (g, f) = sparse_problem(3 * m, m, 10, 3);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| ls::fit(black_box(&g), black_box(&f)).unwrap())
+            b.iter(|| ls::LsConfig.fit(black_box(&g), black_box(&f)).unwrap())
         });
     }
     group.finish();

@@ -43,7 +43,7 @@ use rsm_bench::{peak_rss_mb, save_json, timed, RunOptions};
 use rsm_core::lar::LarConfig;
 use rsm_core::ls::LsConfig;
 use rsm_core::omp::OmpConfig;
-use rsm_core::select::{cross_validate_source, CvConfig};
+use rsm_core::select::CvConfig;
 use rsm_core::source::{AtomSource, DictionarySource};
 use rsm_core::{solver, Method, ModelOrder, SparseModel, StreamConfig};
 use rsm_linalg::Matrix;
@@ -102,8 +102,8 @@ struct SourceBenchRecord {
     /// Wall-clock seconds per path step (fixed-order rows only) — the
     /// before/after column for the pipelined driver.
     step_seconds: Option<f64>,
-    /// Wall-clock seconds of the cross-validation λ walk alone (CV
-    /// rows only; excludes the final full-data fit).
+    /// Wall-clock seconds of the cross-validation λ walk alone
+    /// (streamed CV rows only; excludes the final full-data fit).
     cv_wall_seconds: Option<f64>,
     /// Sample rows per pipeline batch (streaming rows only).
     stream_batch: Option<usize>,
@@ -222,7 +222,7 @@ fn main() {
 
     // --- OMP -------------------------------------------------------
     println!("\nrunning OMP to λ = {lambda} …");
-    let (path, omp_secs) = timed(|| OmpConfig::new(lambda).fit_source(&src, &prob.f).unwrap());
+    let (path, omp_secs) = timed(|| OmpConfig::new(lambda).fit(&src, &prob.f).unwrap());
     let omp_model = path.model_at(prob.truth.len());
     let (omp_train, omp_test, omp_exact) = prob.score(&omp_model);
     println!(
@@ -270,7 +270,7 @@ fn main() {
 
     // --- LAR -------------------------------------------------------
     println!("\nrunning LAR to λ = {lambda} …");
-    let (lar_path, lar_secs) = timed(|| LarConfig::new(lambda).fit_source(&src, &prob.f).unwrap());
+    let (lar_path, lar_secs) = timed(|| LarConfig::new(lambda).fit(&src, &prob.f).unwrap());
     // Raw LAR coefficients at a mid-path breakpoint are shrunk; report
     // the debiased fit the paper actually uses.
     let lar_model = debias(
@@ -310,26 +310,14 @@ fn main() {
     if !smoke {
         let lmax = opts.pick(25, 8).max(p + 5);
         println!("\nrunning 4-fold cross-validated LAR to λ_max = {lmax} …");
-        // The same composition as `solver::fit` with
-        // `ModelOrder::CrossValidated`, unrolled so the λ walk and the
-        // final full-data fit are timed separately (the streaming
-        // driver reports the same split via `StreamReport`).
-        let cvcfg = CvConfig::new(lmax);
-        let (cv, cv_walk_secs) = timed(|| {
-            cross_validate_source(&src, &prob.f, &cvcfg, |gt, ft| {
-                solver::fit_path(Method::Lar, gt, ft, cvcfg.lambda_max)
-            })
-            .unwrap()
-        });
-        let (cv_path, cv_final_secs) =
-            timed(|| solver::fit_path(Method::Lar, &src, &prob.f, cv.best_lambda).unwrap());
-        let cv_secs = cv_walk_secs + cv_final_secs;
-        let cv_model = debias(&src, &prob.f, &cv_path.model_at(cv.best_lambda).support());
+        let order = ModelOrder::CrossValidated(CvConfig::new(lmax));
+        let (rep, cv_secs) = timed(|| solver::fit(&src, &prob.f, Method::Lar, &order).unwrap());
+        let best_lambda = rep.lambda;
+        let cv_model = debias(&src, &prob.f, &rep.model.support());
         let (cv_train, cv_test, cv_exact) = prob.score(&cv_model);
         println!(
-            "CV(LAR): {cv_secs:.1}s ({cv_walk_secs:.1}s λ walk), best λ = {}, support {}, \
+            "CV(LAR): {cv_secs:.1}s, best λ = {best_lambda}, support {}, \
              train {:.2}%, test {:.2}%",
-            cv.best_lambda,
             if cv_exact { "EXACT" } else { "partial" },
             cv_train * 100.0,
             cv_test * 100.0
@@ -344,10 +332,10 @@ fn main() {
             train_error: cv_train,
             test_error: cv_test,
             support_recovered_exactly: cv_exact,
-            lambda: cv.best_lambda,
-            cv_best_lambda: Some(cv.best_lambda),
+            lambda: best_lambda,
+            cv_best_lambda: Some(best_lambda),
             step_seconds: None,
-            cv_wall_seconds: Some(cv_walk_secs),
+            cv_wall_seconds: None,
             stream_batch: None,
             produce_seconds: None,
             lambda_explored: None,

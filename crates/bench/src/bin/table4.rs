@@ -59,7 +59,7 @@ fn main() {
         let ls_test = sampling::sample(&small, k_test, 34);
         let sdict = Dictionary::new(small.num_vars(), DictionaryKind::Linear);
         let g = sdict.design_matrix(&ls_train.inputs);
-        let (model, secs) = timed(|| rsm_core::ls::fit(&g, &ls_train.metric(0)));
+        let (model, secs) = timed(|| rsm_core::ls::LsConfig.fit(&g, &ls_train.metric(0)));
         let model = model.expect("reduced LS fit");
         let g_t = sdict.design_matrix(&ls_test.inputs);
         let err = relative_error(&model.predict_matrix(&g_t), &ls_test.metric(0));

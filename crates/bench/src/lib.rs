@@ -286,7 +286,7 @@ pub fn ls_cost_extrapolation(
     k_target: usize,
     m_target: usize,
 ) -> Result<(f64, f64), CoreError> {
-    let (res, secs) = timed(|| rsm_core::ls::fit(g_small, f_small));
+    let (res, secs) = timed(|| rsm_core::ls::LsConfig.fit(g_small, f_small));
     res?;
     let (k0, m0) = g_small.shape();
     let scale = (k_target as f64 / k0 as f64) * (m_target as f64 / m0 as f64).powi(2);

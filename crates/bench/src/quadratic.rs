@@ -154,7 +154,7 @@ pub fn run(opts: &RunOptions) -> QuadraticOutcome {
         let ls_inputs = ls_pool.inputs.select_cols(&ls_vars);
         let g_ls = ls_dict.design_matrix(&ls_inputs);
         let f_ls = ls_pool.metric(mi);
-        let (ls_model, secs) = timed(|| rsm_core::ls::fit(&g_ls, &f_ls));
+        let (ls_model, secs) = timed(|| rsm_core::ls::LsConfig.fit(&g_ls, &f_ls));
         let ls_model = ls_model.expect("reduced LS fit");
         let ls_test_inputs = test.inputs.select_cols(&ls_vars);
         let err = test_error_sparse(&ls_model, &ls_dict, &ls_test_inputs, &f_test);

@@ -17,59 +17,29 @@ use rsm_linalg::Matrix;
 pub struct LsConfig;
 
 impl LsConfig {
-    /// Fits all `M` coefficients by least squares.
+    /// Fits all `M` coefficients by least squares against any
+    /// [`AtomSource`].
     ///
     /// The result is returned as a [`SparseModel`] for interface
     /// uniformity; it is in general dense (`‖α‖₀ ≈ M`).
     ///
+    /// LS genuinely needs the full dense `G` (a QR factorization is
+    /// not a streaming operation), so the preconditions — crucially
+    /// `K ≥ M` — are validated *before* anything is allocated, and only
+    /// then is the `K×M` matrix materialized through
+    /// [`AtomSource::columns_into`]. Because LS is only legal in the
+    /// overdetermined regime, the materialization is bounded by `K²`
+    /// doubles and the huge-`M` streaming problem this trait exists for
+    /// can never reach it.
+    ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.rows()`;
+    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+    /// - [`CoreError::BadConfig`] if `f` holds non-finite values;
     /// - [`CoreError::Unsolvable`] if `K < M` (the underdetermined case
     ///   this paper exists to solve — use OMP/LAR/STAR) or if `G` is
     ///   rank-deficient.
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparseModel> {
-        let (k, m) = g.shape();
-        if f.len() != k {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("response of length {k}"),
-                found: format!("length {}", f.len()),
-            });
-        }
-        if f.iter().any(|v| !v.is_finite()) {
-            return Err(CoreError::BadConfig(
-                "response vector contains non-finite values".into(),
-            ));
-        }
-        if k < m {
-            return Err(CoreError::Unsolvable(format!(
-                "least squares needs K >= M (got K = {k}, M = {m}); \
-                 use OMP/LAR/STAR for underdetermined systems"
-            )));
-        }
-        let qr = QrDecomposition::new(g)
-            .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
-        let alpha = qr
-            .solve_least_squares(f)
-            .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
-        Ok(SparseModel::new(m, alpha.into_iter().enumerate().collect()))
-    }
-
-    /// Fits by least squares against any [`AtomSource`].
-    ///
-    /// LS genuinely needs the full dense `G` (a QR factorization is
-    /// not a streaming operation), so this validates the same
-    /// preconditions as [`Self::fit`] — crucially `K ≥ M` *before*
-    /// allocating anything — and only then materializes the `K×M`
-    /// matrix through [`AtomSource::columns_into`]. Because LS is only
-    /// legal in the overdetermined regime, the materialization is
-    /// bounded by `K²` doubles and the huge-`M` streaming problem this
-    /// trait exists for can never reach it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
         let (k, m) = (g.num_rows(), g.num_atoms());
         if f.len() != k {
             return Err(CoreError::ShapeMismatch {
@@ -91,17 +61,22 @@ impl LsConfig {
         let js: Vec<usize> = (0..m).collect();
         let mut dense = Matrix::zeros(k, m);
         g.columns_into(&js, &mut dense);
-        self.fit(&dense, f)
+        solve_dense(&dense, f)
     }
 }
 
-/// Convenience wrapper for [`LsConfig::fit`].
-///
-/// # Errors
-///
-/// As [`LsConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64]) -> Result<SparseModel> {
-    LsConfig.fit(g, f)
+/// The QR least-squares solve behind [`LsConfig::fit`], on an already
+/// validated overdetermined matrix.
+fn solve_dense(g: &Matrix, f: &[f64]) -> Result<SparseModel> {
+    let qr = QrDecomposition::new(g)
+        .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
+    let alpha = qr
+        .solve_least_squares(f)
+        .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
+    Ok(SparseModel::new(
+        g.cols(),
+        alpha.into_iter().enumerate().collect(),
+    ))
 }
 
 #[cfg(test)]
@@ -112,7 +87,7 @@ mod tests {
     #[test]
     fn exact_fit_on_square_system() {
         let g = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]).unwrap();
-        let model = fit(&g, &[2.0, 5.0]).unwrap();
+        let model = LsConfig.fit(&g, &[2.0, 5.0]).unwrap();
         assert!((model.coefficient(0).unwrap() - 2.0).abs() < 1e-12);
         assert!((model.coefficient(1).unwrap() - 3.0).abs() < 1e-12);
     }
@@ -123,7 +98,7 @@ mod tests {
         let g = Matrix::from_fn(50, 5, |_, _| s.sample());
         let truth = [1.0, -2.0, 0.0, 0.5, 3.0];
         let f = g.matvec(&truth).unwrap();
-        let model = fit(&g, &f).unwrap();
+        let model = LsConfig.fit(&g, &f).unwrap();
         let dense = model.to_dense();
         for (a, b) in dense.iter().zip(&truth) {
             assert!((a - b).abs() < 1e-9);
@@ -135,7 +110,7 @@ mod tests {
         let mut s = NormalSampler::seed_from_u64(2);
         let g = Matrix::from_fn(30, 3, |_, _| s.sample());
         let f: Vec<f64> = (0..30).map(|_| s.sample()).collect();
-        let model = fit(&g, &f).unwrap();
+        let model = LsConfig.fit(&g, &f).unwrap();
         let base: f64 = {
             let p = model.predict_matrix(&g);
             p.iter().zip(&f).map(|(a, b)| (a - b) * (a - b)).sum()
@@ -159,7 +134,7 @@ mod tests {
     #[test]
     fn underdetermined_rejected_with_guidance() {
         let g = Matrix::zeros(3, 5);
-        match fit(&g, &[0.0; 3]) {
+        match LsConfig.fit(&g, &[0.0; 3]) {
             Err(CoreError::Unsolvable(msg)) => assert!(msg.contains("OMP")),
             other => panic!("expected Unsolvable, got {other:?}"),
         }
@@ -169,7 +144,7 @@ mod tests {
     fn shape_mismatch_rejected() {
         let g = Matrix::identity(3);
         assert!(matches!(
-            fit(&g, &[1.0, 2.0]),
+            LsConfig.fit(&g, &[1.0, 2.0]),
             Err(CoreError::ShapeMismatch { .. })
         ));
     }
@@ -178,7 +153,7 @@ mod tests {
     fn rank_deficiency_reported() {
         let g = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
         assert!(matches!(
-            fit(&g, &[1.0, 2.0, 3.0]),
+            LsConfig.fit(&g, &[1.0, 2.0, 3.0]),
             Err(CoreError::Unsolvable(_))
         ));
     }

@@ -1,19 +1,30 @@
 //! Q-fold cross-validated choice of the model order `λ`
 //! (Section IV-C and Fig. 2 of the paper).
 //!
-//! For each fold `q`, a solver path is fit on the other `Q − 1` groups
-//! and the modeling error `ε_q(λ)` is measured on group `q` for every
-//! `λ` along the path. The averaged curve `ε(λ)` is minimized to pick
-//! `λ*`, and the final model is re-fit on the full training set at
-//! `λ*`.
+//! The samples are split round-robin into `Q` folds. Each fold keeps a
+//! fit on the other `Q − 1` groups, and all folds advance in
+//! `λ`-lockstep: step `λ` resumes every fold's path from step `λ − 1`
+//! and scores it on the held-out group. A LAR or OMP path is nested
+//! (step `λ` extends step `λ − 1`), so a warm session walked `λ` by `λ`
+//! yields the same fold models as fitting each fold's whole path up
+//! front. The averaged curve `ε(λ)` is minimized to pick `λ*`; the
+//! drivers in [`crate::solver`] then re-fit on all samples at `λ*`.
+//!
+//! This walk is the crate's one cross-validation engine: the batch
+//! driver [`crate::solver::fit`] runs it over the full `λ` range, and
+//! the pipelined [`crate::solver::fit_streaming`] may stop it early
+//! once the curve flattens.
 
+use crate::model::SparseModel;
 use crate::path::SparsePath;
+use crate::session::{FitSession, MethodSession};
+use crate::solver::{fit_path, Method};
 use crate::source::{AtomSource, RowSubsetSource};
 use crate::{CoreError, Result};
-use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
-use rsm_stats::{NormalSampler, QFold};
+use rsm_stats::{EarlyStopMonitor, EarlyStopRule, QFold};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Cross-validation configuration.
 #[derive(Debug, Clone)]
@@ -22,9 +33,6 @@ pub struct CvConfig {
     pub folds: usize,
     /// Largest model order to explore.
     pub lambda_max: usize,
-    /// Shuffle the fold assignment with this seed (`None` =
-    /// deterministic round-robin).
-    pub shuffle_seed: Option<u64>,
     /// Apply the one-standard-error rule: instead of the exact
     /// minimizer, pick the *smallest* `λ` whose mean error is within
     /// one standard error of the minimum — a sparser model at
@@ -39,7 +47,6 @@ impl CvConfig {
         CvConfig {
             folds: 4,
             lambda_max,
-            shuffle_seed: None,
             one_se_rule: false,
         }
     }
@@ -65,66 +72,131 @@ pub struct CvResult {
     pub best_error: f64,
 }
 
-/// Cross-validates any path-producing solver.
-///
-/// `fit_path(g_train, f_train)` must return the solver's solution path
-/// on the given training subset. The same closure is used for every
-/// fold, so its configuration (e.g. `lambda_max`) should allow at least
-/// `cfg.lambda_max` steps.
-///
-/// The folds are fit in parallel (`Fn + Sync`, one task per fold via
-/// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
-/// and its error curve lands at the fold's own index, so the result is
-/// bit-identical to the sequential loop at every thread count.
-///
-/// # Errors
-///
-/// - [`CoreError::BadConfig`] for degenerate fold counts / `λ` ranges;
-/// - any error from `fit_path` (the first failing fold in fold order).
-pub fn cross_validate<F>(g: &Matrix, f: &[f64], cfg: &CvConfig, fit_path: F) -> Result<CvResult>
-where
-    F: Fn(&Matrix, &[f64]) -> Result<SparsePath> + Sync,
-{
-    // Legacy dense entry point: materialize each fold's training view
-    // (a row gather, exactly `select_rows`) and hand the caller the
-    // `&Matrix` it expects. Scoring still happens source-side in
-    // `cross_validate_source`, with the same per-row accumulation
-    // order as `SparseModel::predict_matrix` — results are
-    // bit-identical to fitting on copied sub-matrices.
-    cross_validate_source(g, f, cfg, |view, ft| {
-        let rows: Vec<usize> = (0..view.num_rows()).collect();
-        let g_train = RowSubsetSource::new(view, &rows).materialize();
-        fit_path(&g_train, ft)
-    })
+/// One fold of the walk: a fit on its training rows plus a scorer for
+/// its held-out rows. Both row sets are [`RowSubsetSource`] views of
+/// the full source — nothing `K×M`-sized is copied.
+struct Fold {
+    train: Vec<usize>,
+    f_train: Vec<f64>,
+    fit: FoldFit,
+    scorer: TestScorer,
 }
 
-/// Cross-validates a path-producing solver against any [`AtomSource`].
+/// How a fold produces its model at each `λ`.
+enum FoldFit {
+    /// A warm LAR or OMP session, advanced one step per `λ`.
+    Session(Box<MethodSession>),
+    /// STAR has no session: its path is fit once up to `lambda_max`
+    /// and read with [`SparsePath::model_at`].
+    Path(SparsePath),
+}
+
+impl Fold {
+    fn new<S: AtomSource + ?Sized>(
+        g: &S,
+        f: &[f64],
+        method: Method,
+        lambda_max: usize,
+        (train, test): (Vec<usize>, Vec<usize>),
+    ) -> Result<Self> {
+        let view = RowSubsetSource::new(g, &train);
+        let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
+        let fit = if method == Method::Star {
+            FoldFit::Path(fit_path(method, &view, &f_train, lambda_max)?)
+        } else {
+            let mut session = MethodSession::new(method, lambda_max, g.num_atoms())?;
+            session.extend_samples(&view, &f_train, 0..train.len())?;
+            FoldFit::Session(Box::new(session))
+        };
+        let f_test = test.iter().map(|&i| f[i]).collect();
+        Ok(Fold {
+            train,
+            f_train,
+            fit,
+            scorer: TestScorer::new(test, f_test),
+        })
+    }
+
+    /// Advances the fold to step `lambda` and scores that model on the
+    /// held-out rows. A path that finished early keeps its final model
+    /// for larger `λ` (clamped by `model_at`).
+    fn score_at<S: AtomSource + ?Sized>(&mut self, g: &S, lambda: usize) -> Result<f64> {
+        let model = match &mut self.fit {
+            FoldFit::Session(session) => {
+                let view = RowSubsetSource::new(g, &self.train);
+                session.run_to(&view, &self.f_train, lambda)?;
+                session.path()?.model_at(lambda)
+            }
+            FoldFit::Path(path) => path.model_at(lambda),
+        };
+        Ok(self.scorer.score(g, &model))
+    }
+}
+
+/// Scores models on one fold's held-out rows, gathering each support
+/// column at most once across the whole `λ` walk.
+struct TestScorer {
+    test: Vec<usize>,
+    f_test: Vec<f64>,
+    cols: BTreeMap<usize, Vec<f64>>,
+}
+
+impl TestScorer {
+    fn new(test: Vec<usize>, f_test: Vec<f64>) -> Self {
+        TestScorer {
+            test,
+            f_test,
+            cols: BTreeMap::new(),
+        }
+    }
+
+    /// Relative error of `model` on the held-out rows.
+    fn score<S: AtomSource + ?Sized>(&mut self, g: &S, model: &SparseModel) -> f64 {
+        let view = RowSubsetSource::new(g, &self.test);
+        for &(j, _) in model.coefficients() {
+            if !self.cols.contains_key(&j) {
+                let mut col = vec![0.0; self.test.len()];
+                view.column_into(j, &mut col);
+                self.cols.insert(j, col);
+            }
+        }
+        let mut pred = vec![0.0; self.test.len()];
+        for (r, p) in pred.iter_mut().enumerate() {
+            // Same term order as `SparseModel::predict_row` (coefficient
+            // order, from 0.0), so fold errors equal dense scoring.
+            *p = model
+                .coefficients()
+                .iter()
+                .map(|&(j, c)| c * self.cols[&j][r])
+                .sum();
+        }
+        relative_error(&pred, &self.f_test)
+    }
+}
+
+/// Cross-validates `method` on `g·α = f` by the `λ`-lockstep walk
+/// described in the [module docs](self).
 ///
-/// Each fold's training and test sets are [`RowSubsetSource`] views of
-/// `g` — nothing `K×M`-sized is ever copied or materialized. The
-/// closure receives the training view as `&dyn AtomSource` (the trait
-/// is object-safe) and the training response, and must return the
-/// solver's path; scoring gathers only the path's support columns on
-/// the test view.
-///
-/// The folds are fit in parallel (`Fn + Sync`, one task per fold via
-/// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
-/// and its error curve lands at the fold's own index, so the result is
-/// bit-identical to the sequential loop at every thread count.
+/// Folds are built and advanced in parallel, one task per fold via
+/// [`rsm_runtime::par_map_indexed`]; each fold's error lands at the
+/// fold's own index, so the curve is bit-identical at every thread
+/// count. With `early_stop`, the walk ends once the mean curve
+/// flattens under that rule, and the curve covers only the explored
+/// prefix.
 ///
 /// # Errors
 ///
-/// As [`cross_validate`].
-pub fn cross_validate_source<S, F>(
+/// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+/// - [`CoreError::BadConfig`] for `cfg.lambda_max == 0`, a fold count
+///   that cannot split the samples, or a method without a path (LS);
+/// - any fold fit error (the first failing fold in fold order).
+pub(crate) fn lockstep_cv<S: AtomSource + ?Sized + Sync>(
     g: &S,
     f: &[f64],
+    method: Method,
     cfg: &CvConfig,
-    fit_path: F,
-) -> Result<CvResult>
-where
-    S: AtomSource + ?Sized + Sync,
-    F: Fn(&dyn AtomSource, &[f64]) -> Result<SparsePath> + Sync,
-{
+    early_stop: Option<EarlyStopRule>,
+) -> Result<CvResult> {
     let k = g.num_rows();
     if f.len() != k {
         return Err(CoreError::ShapeMismatch {
@@ -135,87 +207,50 @@ where
     if cfg.lambda_max == 0 {
         return Err(CoreError::BadConfig("lambda_max must be at least 1".into()));
     }
-    let folds = match cfg.shuffle_seed {
-        Some(seed) => {
-            let mut s = NormalSampler::seed_from_u64(seed);
-            QFold::shuffled(k, cfg.folds, &mut s)
-        }
-        None => QFold::new(k, cfg.folds),
-    }
-    .ok_or_else(|| {
+    let folds = QFold::new(k, cfg.folds).ok_or_else(|| {
         CoreError::BadConfig(format!("cannot split {k} samples into {} folds", cfg.folds))
     })?;
-
-    // Accumulate ε_q(λ) across folds; a path may stop early, in which
-    // case its final model is reused for larger λ (clamped by
-    // `model_at`), matching how a practitioner would treat a converged
-    // path.
     let splits: Vec<(Vec<usize>, Vec<usize>)> = folds.splits().collect();
-    let fold_results: Vec<Result<Vec<f64>>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
-        let (train, test) = &splits[q];
-        let train_view = RowSubsetSource::new(g, train);
-        let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-        let test_view = RowSubsetSource::new(g, test);
-        let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
-        let path = fit_path(&train_view, &f_train)?;
-        // Gather the union of the path's supports on the test rows
-        // once; every λ is then scored from this |test|×|union| slab.
-        // The union is bounded by the path length (plus lasso drops),
-        // never by M.
-        let mut union: Vec<usize> = Vec::new();
-        for lambda in 1..=cfg.lambda_max {
-            for &(j, _) in path.model_at(lambda).coefficients() {
-                if let Err(pos) = union.binary_search(&j) {
-                    union.insert(pos, j);
-                }
-            }
-        }
-        let mut cols = Matrix::zeros(test.len(), union.len());
-        test_view.columns_into(&union, &mut cols);
-        let pos_of: BTreeMap<usize, usize> =
-            union.iter().enumerate().map(|(p, &j)| (j, p)).collect();
-        let mut fold_errs = Vec::with_capacity(cfg.lambda_max);
-        let mut pred = vec![0.0; test.len()];
-        for lambda in 1..=cfg.lambda_max {
-            let model = path.model_at(lambda);
-            for (r, p) in pred.iter_mut().enumerate() {
-                // Same term order as `SparseModel::predict_row`
-                // (coefficient order, from 0.0) so the fold errors are
-                // bit-identical to dense scoring.
-                *p = model
-                    .coefficients()
-                    .iter()
-                    .map(|&(j, c)| c * cols[(r, pos_of[&j])])
-                    .sum();
-            }
-            fold_errs.push(relative_error(&pred, &f_test));
-        }
-        Ok(fold_errs)
+    let built: Vec<Result<Fold>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
+        Fold::new(g, f, method, cfg.lambda_max, splits[q].clone())
     });
-    let mut per_fold: Vec<Vec<f64>> = Vec::with_capacity(splits.len());
-    for r in fold_results {
-        per_fold.push(r?);
+    let mut states: Vec<Mutex<Fold>> = Vec::with_capacity(built.len());
+    for b in built {
+        states.push(Mutex::new(b?));
     }
-    let q = per_fold.len() as f64;
+
+    let q = states.len() as f64;
     let mut errors = Vec::with_capacity(cfg.lambda_max);
     let mut errors_se = Vec::with_capacity(cfg.lambda_max);
-    for l in 0..cfg.lambda_max {
-        let vals: Vec<f64> = per_fold
-            .iter()
-            .map(|fe| fe[l])
-            .filter(|v| v.is_finite())
-            .collect();
-        if vals.is_empty() {
-            errors.push(f64::INFINITY);
-            errors_se.push(f64::INFINITY);
-            continue;
+    let mut monitor = early_stop.map(EarlyStopMonitor::new);
+    for lambda in 1..=cfg.lambda_max {
+        let fold_errs: Vec<Result<f64>> = rsm_runtime::par_map_indexed(states.len(), |i| {
+            let mut fold = states[i].lock().unwrap_or_else(|p| p.into_inner());
+            fold.score_at(g, lambda)
+        });
+        let mut vals = Vec::with_capacity(fold_errs.len());
+        for e in fold_errs {
+            vals.push(e?);
         }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var =
-            vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len().max(1) as f64;
+        // Non-finite folds are dropped; an all-bad λ scores infinity.
+        let finite: Vec<f64> = vals.into_iter().filter(|v| v.is_finite()).collect();
+        let (mean, se) = if finite.is_empty() {
+            (f64::INFINITY, f64::INFINITY)
+        } else {
+            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
+            let var =
+                finite.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / finite.len() as f64;
+            (mean, (var / q).sqrt())
+        };
         errors.push(mean);
-        errors_se.push((var / q).sqrt());
+        errors_se.push(se);
+        if let Some(mon) = &mut monitor {
+            if mon.observe(mean) {
+                break;
+            }
+        }
     }
+
     let (best_idx, &best_error) = errors
         .iter()
         .enumerate()
@@ -242,7 +277,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::omp::OmpConfig;
+    use crate::solver::{fit, ModelOrder};
+    use rsm_linalg::Matrix;
     use rsm_stats::NormalSampler;
 
     /// P-sparse problem with noise, where over-fitting is possible.
@@ -263,12 +299,17 @@ mod tests {
         (g, f)
     }
 
+    /// OMP cross-validated through the batch driver.
+    fn omp_cv(g: &Matrix, f: &[f64], cfg: CvConfig) -> CvResult {
+        let order = ModelOrder::CrossValidated(cfg);
+        fit(g, f, Method::Omp, &order).unwrap().cv.unwrap()
+    }
+
     #[test]
     fn picks_lambda_near_true_sparsity() {
         let p = 5;
         let (g, f) = noisy_problem(120, 300, p, 42);
-        let cfg = CvConfig::new(30);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(30).fit(gt, ft)).unwrap();
+        let cv = omp_cv(&g, &f, CvConfig::new(30));
         assert!(
             cv.best_lambda >= p && cv.best_lambda <= p + 6,
             "best λ = {} for true sparsity {p}",
@@ -280,8 +321,7 @@ mod tests {
     fn error_curve_rises_after_optimum() {
         // Over-fitting: the CV error at λ_max must exceed the minimum.
         let (g, f) = noisy_problem(60, 200, 4, 7);
-        let cfg = CvConfig::new(40);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(40).fit(gt, ft)).unwrap();
+        let cv = omp_cv(&g, &f, CvConfig::new(40));
         let last = *cv.errors.last().unwrap();
         assert!(
             last > cv.best_error * 1.05,
@@ -300,14 +340,8 @@ mod tests {
     #[test]
     fn one_se_rule_never_picks_larger_lambda() {
         let (g, f) = noisy_problem(100, 250, 5, 13);
-        let plain = cross_validate(&g, &f, &CvConfig::new(30), |gt, ft| {
-            OmpConfig::new(30).fit(gt, ft)
-        })
-        .unwrap();
-        let one_se = cross_validate(&g, &f, &CvConfig::new(30).with_one_se_rule(), |gt, ft| {
-            OmpConfig::new(30).fit(gt, ft)
-        })
-        .unwrap();
+        let plain = omp_cv(&g, &f, CvConfig::new(30));
+        let one_se = omp_cv(&g, &f, CvConfig::new(30).with_one_se_rule());
         assert!(one_se.best_lambda <= plain.best_lambda);
         // The one-SE error stays within a standard error of the minimum.
         let min_idx = plain.best_lambda - 1;
@@ -317,44 +351,8 @@ mod tests {
     #[test]
     fn standard_errors_are_finite_and_nonnegative() {
         let (g, f) = noisy_problem(80, 100, 3, 17);
-        let cv = cross_validate(&g, &f, &CvConfig::new(15), |gt, ft| {
-            OmpConfig::new(15).fit(gt, ft)
-        })
-        .unwrap();
+        let cv = omp_cv(&g, &f, CvConfig::new(15));
         assert_eq!(cv.errors_se.len(), 15);
         assert!(cv.errors_se.iter().all(|&s| s >= 0.0 && s.is_finite()));
-    }
-
-    #[test]
-    fn shuffled_cv_also_works() {
-        let (g, f) = noisy_problem(80, 100, 3, 3);
-        let cfg = CvConfig {
-            folds: 5,
-            shuffle_seed: Some(1),
-            ..CvConfig::new(15)
-        };
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(15).fit(gt, ft)).unwrap();
-        assert!(cv.best_lambda >= 2 && cv.best_lambda <= 10);
-    }
-
-    #[test]
-    fn bad_configs_rejected() {
-        let (g, f) = noisy_problem(20, 10, 1, 9);
-        let bad_folds = CvConfig {
-            folds: 1,
-            ..CvConfig::new(5)
-        };
-        assert!(cross_validate(&g, &f, &bad_folds, |gt, ft| {
-            OmpConfig::new(5).fit(gt, ft)
-        })
-        .is_err());
-        let zero_lambda = CvConfig {
-            lambda_max: 0,
-            ..CvConfig::new(5)
-        };
-        assert!(cross_validate(&g, &f, &zero_lambda, |gt, ft| {
-            OmpConfig::new(5).fit(gt, ft)
-        })
-        .is_err());
     }
 }

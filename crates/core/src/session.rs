@@ -1,14 +1,16 @@
 //! Incremental solver sessions — resumable `FitSession` state objects
 //! for LAR, OMP, and coordinate-descent lasso.
 //!
-//! The batch entry points (`LarConfig::fit_source`, `OmpConfig::
-//! fit_source`, `LassoCdConfig::fit_warm_source`) are thin wrappers
-//! over the types in this module: they create a session, feed it the
-//! whole sample set in one [`extend_samples`](FitSession::extend_samples)
-//! call, and run the path to completion. The streaming driver
-//! ([`crate::solver::fit_streaming`]) instead alternates `extend_samples`
-//! with [`step`](LarSession::step)/`run_to` calls as sample batches
-//! arrive, so fitting overlaps sample production.
+//! The batch entry points ([`LarConfig::fit`], [`OmpConfig::fit`],
+//! [`LassoCdConfig::fit_warm`]) are thin wrappers over the types in
+//! this module: they create a session, feed it the whole sample set in
+//! one [`extend_samples`](FitSession::extend_samples) call, and run the
+//! path to completion. The streaming driver
+//! ([`crate::solver::fit_streaming`]) instead feeds sample batches as
+//! they arrive, so fitting overlaps sample production. The
+//! cross-validation engine ([`crate::select`]) keeps one warm
+//! [`MethodSession`] per fold and advances it with `run_to` one `λ` at
+//! a time.
 //!
 //! # What is incremental where
 //!

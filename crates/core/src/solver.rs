@@ -3,28 +3,27 @@
 //!
 //! Two drivers share this surface:
 //!
-//! - [`fit`] — the batch driver: sweep all samples, fit, optionally
-//!   cross-validate (each fold re-fit from scratch, full `λ` range).
+//! - [`fit`] — the batch driver: sweep all samples in one pass, fit,
+//!   optionally cross-validate over the full `λ` range.
 //! - [`fit_streaming`] — the pipelined driver: runtime workers sweep
 //!   sample batches into [`SampleDelta`]s in parallel while the fitter
-//!   consumes them in row order; cross-validation advances all folds in
-//!   `λ`-lockstep on warm sessions and can stop early once the error
-//!   curve flattens ([`StreamConfig::early_stop`]).
+//!   consumes them in row order; cross-validation can stop early once
+//!   the error curve flattens ([`StreamConfig::early_stop`]).
+//!
+//! Both cross-validate through the same engine: the `λ`-lockstep walk
+//! over warm per-fold fits in [`crate::select`].
 
 use crate::lar::LarConfig;
 use crate::ls::LsConfig;
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
-use crate::select::{cross_validate_source, CvConfig, CvResult};
-use crate::session::{FitSession, MethodSession, SampleDelta};
-use crate::source::{AtomSource, RowSubsetSource};
+use crate::select::{lockstep_cv, CvConfig, CvResult};
+use crate::session::{MethodSession, SampleDelta};
+use crate::source::AtomSource;
 use crate::star::StarConfig;
 use crate::{CoreError, Result};
-use rsm_stats::metrics::relative_error;
-use rsm_stats::{EarlyStopMonitor, EarlyStopRule, QFold};
-use std::collections::BTreeMap;
+use rsm_stats::EarlyStopRule;
 use std::ops::Range;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The four modeling techniques compared throughout the paper's
@@ -93,13 +92,17 @@ pub struct FitReport {
 /// With a streaming source, nothing `K×M`-sized is materialized by any
 /// sparse method (LS is the exception: it refuses underdetermined
 /// problems first, so its dense fallback is bounded by `K²`).
-/// Cross-validation folds are [`crate::source::RowSubsetSource`] views
-/// fit in parallel.
+/// Cross-validation walks the full `λ` range on
+/// [`crate::source::RowSubsetSource`] fold views, folds in parallel
+/// (see [`crate::select`]).
 ///
 /// # Errors
 ///
-/// Propagates the underlying solver errors; see [`OmpConfig::fit`],
-/// [`LarConfig::fit`], [`StarConfig::fit`], [`LsConfig::fit`].
+/// - [`CoreError::ShapeMismatch`] / [`CoreError::BadConfig`] for a
+///   misshapen response, a zero `λ`, or a fold count that cannot split
+///   the samples;
+/// - the underlying solver errors; see [`OmpConfig::fit`],
+///   [`LarConfig::fit`], [`StarConfig::fit`], [`LsConfig::fit`].
 pub fn fit<S: AtomSource + ?Sized + Sync>(
     g: &S,
     f: &[f64],
@@ -109,7 +112,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
     let t0 = Instant::now();
     let report = match method {
         Method::Ls => {
-            let model = LsConfig.fit_source(g, f)?;
+            let model = LsConfig.fit(g, f)?;
             FitReport {
                 lambda: model.num_bases(),
                 model,
@@ -122,9 +125,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
             let (lambda, cv) = match order {
                 ModelOrder::Fixed(l) => (*l, None),
                 ModelOrder::CrossValidated(cfg) => {
-                    let cv = cross_validate_source(g, f, cfg, |gt, ft| {
-                        fit_path(method, gt, ft, cfg.lambda_max)
-                    })?;
+                    let cv = lockstep_cv(g, f, method, cfg, None)?;
                     (cv.best_lambda, Some(cv))
                 }
             };
@@ -164,10 +165,10 @@ pub fn fit_path<S: AtomSource + ?Sized>(
         Method::Ls => Err(CoreError::BadConfig(
             "LS does not produce a selection path".into(),
         )),
-        Method::Star => StarConfig::new(lambda_max).fit_source(g, f),
-        Method::Lar => LarConfig::new(lambda_max).fit_source(g, f),
-        Method::LarLasso => LarConfig::new(lambda_max).with_lasso().fit_source(g, f),
-        Method::Omp => OmpConfig::new(lambda_max).fit_source(g, f),
+        Method::Star => StarConfig::new(lambda_max).fit(g, f),
+        Method::Lar => LarConfig::new(lambda_max).fit(g, f),
+        Method::LarLasso => LarConfig::new(lambda_max).with_lasso().fit(g, f),
+        Method::Omp => OmpConfig::new(lambda_max).fit(g, f),
     }
 }
 
@@ -216,72 +217,17 @@ pub struct StreamReport {
     pub cv_seconds: f64,
 }
 
-/// Per-fold state of the lockstep cross-validation walk: a warm
-/// session over the training rows plus a column-caching scorer for the
-/// held-out rows.
-struct FoldState {
-    session: MethodSession,
-    train: Vec<usize>,
-    f_train: Vec<f64>,
-    scorer: TestScorer,
-}
-
-/// Scores models on one fold's held-out rows, gathering each support
-/// column at most once across the whole `λ` walk.
-struct TestScorer {
-    test: Vec<usize>,
-    f_test: Vec<f64>,
-    cols: BTreeMap<usize, Vec<f64>>,
-}
-
-impl TestScorer {
-    fn new(test: Vec<usize>, f_test: Vec<f64>) -> Self {
-        TestScorer {
-            test,
-            f_test,
-            cols: BTreeMap::new(),
-        }
-    }
-
-    /// Relative error of `model` on the held-out rows. Gathers are
-    /// pure data movement, so the scores are bit-identical to the
-    /// batch driver's slab-gathered scoring.
-    fn score<S: AtomSource + ?Sized>(&mut self, g: &S, model: &SparseModel) -> f64 {
-        let view = RowSubsetSource::new(g, &self.test);
-        for &(j, _) in model.coefficients() {
-            if !self.cols.contains_key(&j) {
-                let mut col = vec![0.0; self.test.len()];
-                view.column_into(j, &mut col);
-                self.cols.insert(j, col);
-            }
-        }
-        let mut pred = vec![0.0; self.test.len()];
-        for (r, p) in pred.iter_mut().enumerate() {
-            // Same term order as `SparseModel::predict_row` (coefficient
-            // order, from 0.0) so fold errors match the batch driver.
-            *p = model
-                .coefficients()
-                .iter()
-                .map(|&(j, c)| c * self.cols[&j][r])
-                .sum();
-        }
-        relative_error(&pred, &self.f_test)
-    }
-}
-
 /// Fits `G·α = F` with the sample→fit pipeline: runtime workers sweep
 /// `stream.batch`-row batches into [`SampleDelta`]s in parallel while
 /// the fitter consumes them in row order via
 /// [`MethodSession::apply_delta`] — fitting state accumulates while
 /// later batches are still being produced.
 ///
-/// With [`ModelOrder::CrossValidated`], every fold keeps a warm
-/// [`MethodSession`] and all folds advance in `λ`-lockstep: step `λ`
-/// resumes each fold's path from step `λ − 1` (no per-`λ` re-fit), and
-/// the walk stops early once the mean error curve flattens under
+/// With [`ModelOrder::CrossValidated`], the folds are walked in
+/// `λ`-lockstep by the same engine as [`fit`] (see [`crate::select`]),
+/// and the walk stops early once the mean error curve flattens under
 /// [`StreamConfig::early_stop`]. The explored prefix of the error curve
-/// is identical to the batch driver's ([`CvConfig::shuffle_seed`] must
-/// be `None`: lockstep folds are round-robin by construction).
+/// is identical to the batch driver's.
 ///
 /// Multi-batch sweep accumulation differs from the batch driver's
 /// single sweep in low-order bits, but is bit-identical across thread
@@ -290,8 +236,8 @@ impl TestScorer {
 /// # Errors
 ///
 /// - [`CoreError::ShapeMismatch`] / [`CoreError::BadConfig`] for
-///   misshapen or non-finite inputs, `stream.batch == 0`, a shuffled
-///   CV request, or a method without path sessions (LS, STAR);
+///   misshapen or non-finite inputs, `stream.batch == 0`, or a method
+///   without path sessions (LS, STAR);
 /// - any session error (first failing fold in fold order).
 pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
     g: &S,
@@ -356,7 +302,7 @@ pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
         ModelOrder::Fixed(l) => (*l, None, *l, 0.0),
         ModelOrder::CrossValidated(cfg) => {
             let tcv = Instant::now();
-            let cv = stream_cross_validate(g, f, method, cfg, stream)?;
+            let cv = lockstep_cv(g, f, method, cfg, stream.early_stop)?;
             let explored = cv.errors.len();
             (
                 cv.best_lambda,
@@ -381,114 +327,6 @@ pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
         lambda_explored,
         produce_seconds,
         cv_seconds,
-    })
-}
-
-/// Lockstep-`λ` cross-validation over warm per-fold sessions.
-fn stream_cross_validate<S: AtomSource + ?Sized + Sync>(
-    g: &S,
-    f: &[f64],
-    method: Method,
-    cfg: &CvConfig,
-    stream: &StreamConfig,
-) -> Result<CvResult> {
-    if cfg.shuffle_seed.is_some() {
-        return Err(CoreError::BadConfig(
-            "streaming CV requires round-robin folds (shuffle_seed must be None)".into(),
-        ));
-    }
-    let k = g.num_rows();
-    let m = g.num_atoms();
-    let folds = QFold::new(k, cfg.folds).ok_or_else(|| {
-        CoreError::BadConfig(format!("cannot split {k} samples into {} folds", cfg.folds))
-    })?;
-    let splits: Vec<(Vec<usize>, Vec<usize>)> = folds.splits().collect();
-
-    // Build the per-fold warm sessions in parallel (one task per fold,
-    // results placed at the fold's index — thread-count invariant).
-    let built: Vec<Result<FoldState>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
-        let (train, test) = splits[q].clone();
-        let mut session = MethodSession::new(method, cfg.lambda_max, m)?;
-        let train_view = RowSubsetSource::new(g, &train);
-        let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-        session.extend_samples(&train_view, &f_train, 0..train.len())?;
-        let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
-        Ok(FoldState {
-            session,
-            train,
-            f_train,
-            scorer: TestScorer::new(test, f_test),
-        })
-    });
-    let mut states: Vec<Mutex<FoldState>> = Vec::with_capacity(built.len());
-    for b in built {
-        states.push(Mutex::new(b?));
-    }
-
-    let q = states.len() as f64;
-    let mut errors = Vec::with_capacity(cfg.lambda_max);
-    let mut errors_se = Vec::with_capacity(cfg.lambda_max);
-    let mut monitor = stream.early_stop.map(EarlyStopMonitor::new);
-    for lambda in 1..=cfg.lambda_max {
-        // Advance every fold's warm session to step λ and score its
-        // held-out rows; par_map_indexed keeps fold order.
-        let fold_errs: Vec<Result<f64>> = rsm_runtime::par_map_indexed(states.len(), |i| {
-            let mut guard = states[i].lock().unwrap_or_else(|p| p.into_inner());
-            let FoldState {
-                session,
-                train,
-                f_train,
-                scorer,
-            } = &mut *guard;
-            let train_view = RowSubsetSource::new(g, train);
-            session.run_to(&train_view, f_train, lambda)?;
-            let model = session.path()?.model_at(lambda);
-            Ok(scorer.score(g, &model))
-        });
-        let mut vals = Vec::with_capacity(fold_errs.len());
-        for e in fold_errs {
-            vals.push(e?);
-        }
-        // Same aggregation as the batch driver: non-finite folds are
-        // dropped, an all-bad λ scores infinity.
-        let finite: Vec<f64> = vals.into_iter().filter(|v| v.is_finite()).collect();
-        let (mean, se) = if finite.is_empty() {
-            (f64::INFINITY, f64::INFINITY)
-        } else {
-            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
-            let var = finite.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-                / finite.len().max(1) as f64;
-            (mean, (var / q).sqrt())
-        };
-        errors.push(mean);
-        errors_se.push(se);
-        if let Some(mon) = &mut monitor {
-            if mon.observe(mean) {
-                break;
-            }
-        }
-    }
-
-    let (best_idx, &best_error) = errors
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .ok_or_else(|| CoreError::BadConfig("empty CV error curve".into()))?;
-    let best_lambda = if cfg.one_se_rule {
-        let threshold = best_error + errors_se[best_idx];
-        errors
-            .iter()
-            .position(|&e| e <= threshold)
-            .map(|i| i + 1)
-            .unwrap_or(best_idx + 1)
-    } else {
-        best_idx + 1
-    };
-    Ok(CvResult {
-        best_error: errors[best_lambda - 1],
-        errors,
-        errors_se,
-        best_lambda,
     })
 }
 
@@ -547,6 +385,45 @@ mod tests {
         assert_eq!(cv.best_lambda, rep.lambda);
         assert_eq!(rep.model.num_nonzeros(), rep.lambda);
         assert!(cv.errors.len() == 20);
+    }
+
+    #[test]
+    fn bad_configs_rejected() {
+        let (g, f) = problem(20, 12, 9);
+        let cv = |cfg: CvConfig| ModelOrder::CrossValidated(cfg);
+        let bad_folds = cv(CvConfig {
+            folds: 1,
+            ..CvConfig::new(5)
+        });
+        let zero_lambda = cv(CvConfig {
+            lambda_max: 0,
+            ..CvConfig::new(5)
+        });
+        for method in [Method::Star, Method::Lar, Method::LarLasso, Method::Omp] {
+            assert!(
+                matches!(
+                    fit(&g, &f, method, &bad_folds),
+                    Err(CoreError::BadConfig(_))
+                ),
+                "{method:?}: one fold accepted"
+            );
+            assert!(
+                matches!(
+                    fit(&g, &f, method, &zero_lambda),
+                    Err(CoreError::BadConfig(_))
+                ),
+                "{method:?}: lambda_max 0 accepted"
+            );
+            // A response shorter than the sample count is refused before
+            // any fold indexes it.
+            assert!(
+                matches!(
+                    fit(&g, &f[..15], method, &cv(CvConfig::new(5))),
+                    Err(CoreError::ShapeMismatch { .. })
+                ),
+                "{method:?}: short response accepted"
+            );
+        }
     }
 
     #[test]
@@ -663,12 +540,6 @@ mod tests {
                 fit_streaming(&g, &f, m, &ModelOrder::Fixed(3), &StreamConfig::new(8)).is_err()
             );
         }
-        // Shuffled CV is incompatible with lockstep folds.
-        let shuffled = ModelOrder::CrossValidated(CvConfig {
-            shuffle_seed: Some(1),
-            ..CvConfig::new(5)
-        });
-        assert!(fit_streaming(&g, &f, Method::Omp, &shuffled, &StreamConfig::new(8)).is_err());
         // Non-finite response.
         let mut bad = f.clone();
         bad[7] = f64::NAN;

@@ -18,7 +18,6 @@ use crate::source::AtomSource;
 use crate::{CoreError, Result};
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, norm2};
-use rsm_linalg::Matrix;
 
 /// STAR configuration.
 #[derive(Debug, Clone)]
@@ -38,22 +37,14 @@ impl StarConfig {
         }
     }
 
-    /// Runs STAR on `G·α = F`.
+    /// Runs STAR on `G·α = F` against any [`AtomSource`] (see
+    /// [`crate::omp::OmpConfig::fit`] for when a matrix-free source
+    /// matters).
     ///
     /// # Errors
     ///
     /// Same contract as [`crate::omp::OmpConfig::fit`].
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparsePath> {
-        self.fit_source(g, f)
-    }
-
-    /// Runs STAR against any [`AtomSource`] (see
-    /// [`crate::omp::OmpConfig::fit_source`] for when this matters).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
         let (k, m) = (g.num_rows(), g.num_atoms());
         if f.len() != k {
             return Err(CoreError::ShapeMismatch {
@@ -119,19 +110,11 @@ impl StarConfig {
     }
 }
 
-/// Convenience: STAR returning only the final model.
-///
-/// # Errors
-///
-/// As [`StarConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
-    Ok(StarConfig::new(lambda).fit(g, f)?.final_model().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::omp::OmpConfig;
+    use rsm_linalg::Matrix;
     use rsm_stats::metrics::relative_error;
     use rsm_stats::NormalSampler;
 
@@ -151,7 +134,11 @@ mod tests {
     #[test]
     fn selects_true_support_when_well_separated() {
         let (g, f, truth) = sparse_problem(400, 80, 7);
-        let model = fit(&g, &f, 3).unwrap();
+        let model = StarConfig::new(3)
+            .fit(&g, &f)
+            .unwrap()
+            .final_model()
+            .clone();
         let mut support = model.support();
         support.sort_unstable();
         let mut expected: Vec<usize> = truth.iter().map(|&(j, _)| j).collect();
@@ -174,8 +161,12 @@ mod tests {
         // The paper's central empirical claim (Fig. 4): at matched λ
         // and modest K, OMP's re-fit beats STAR's greedy assignment.
         let (g, f, _) = sparse_problem(60, 300, 8);
-        let star_model = fit(&g, &f, 3).unwrap();
-        let omp_model = crate::omp::fit(&g, &f, 3).unwrap();
+        let star_model = StarConfig::new(3)
+            .fit(&g, &f)
+            .unwrap()
+            .final_model()
+            .clone();
+        let omp_model = OmpConfig::new(3).fit(&g, &f).unwrap().final_model().clone();
         let star_err = relative_error(&star_model.predict_matrix(&g), &f);
         let omp_err = relative_error(&omp_model.predict_matrix(&g), &f);
         assert!(

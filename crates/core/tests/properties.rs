@@ -139,7 +139,7 @@ proptest! {
 
     #[test]
     fn ls_residual_orthogonal_to_all_columns(p in problem(80, 20, 5, 0.5)) {
-        let model = ls::fit(&p.g, &p.f).unwrap();
+        let model = ls::LsConfig.fit(&p.g, &p.f).unwrap();
         let pred = model.predict_matrix(&p.g);
         let res: Vec<f64> = p.f.iter().zip(&pred).map(|(a, b)| a - b).collect();
         let grad = p.g.matvec_t(&res).unwrap();
@@ -169,7 +169,7 @@ proptest! {
             .collect();
         let src = DictionarySource::new(&dict, &samples);
         let dense = LarConfig::new(6).fit(&g, &f).unwrap();
-        let implicit = LarConfig::new(6).fit_source(&src, &f).unwrap();
+        let implicit = LarConfig::new(6).fit(&src, &f).unwrap();
         prop_assert_eq!(dense.len(), implicit.len());
         for lambda in 1..=dense.len() {
             let ma = dense.model_at(lambda);
@@ -204,7 +204,7 @@ proptest! {
         let src = DictionarySource::new(&dict, &samples);
         let penalty = 0.1 * penalty_max(&g, &f).unwrap();
         let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit_source(&src, &f).unwrap();
+        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
         prop_assert_eq!(dense.support(), implicit.support());
         for &(j, c) in dense.coefficients() {
             let cb = implicit.coefficient(j).unwrap();
@@ -230,8 +230,8 @@ proptest! {
             .collect();
         let src = DictionarySource::new(&dict, &samples);
         let cached = CachedSource::new(&src);
-        let plain = LarConfig::new(5).fit_source(&src, &f).unwrap();
-        let memo = LarConfig::new(5).fit_source(&cached, &f).unwrap();
+        let plain = LarConfig::new(5).fit(&src, &f).unwrap();
+        let memo = LarConfig::new(5).fit(&cached, &f).unwrap();
         prop_assert_eq!(plain.len(), memo.len());
         for lambda in 1..=plain.len() {
             let ma = plain.model_at(lambda);
@@ -287,7 +287,7 @@ fn non_finite_responses_rejected_by_all_solvers() {
             "STAR accepted {bad}"
         );
         assert!(LarConfig::new(3).fit(&g, &f).is_err(), "LAR accepted {bad}");
-        assert!(ls::fit(&g, &f).is_err(), "LS accepted {bad}");
+        assert!(ls::LsConfig.fit(&g, &f).is_err(), "LS accepted {bad}");
     }
 }
 
@@ -309,7 +309,7 @@ fn streaming_omp_matches_materialized() {
     let g = dict.design_matrix(&samples);
     let materialized = OmpConfig::new(8).fit(&g, &f).unwrap();
     let src = DictionarySource::new(&dict, &samples);
-    let streaming = OmpConfig::new(8).fit_source(&src, &f).unwrap();
+    let streaming = OmpConfig::new(8).fit(&src, &f).unwrap();
     assert_eq!(materialized.len(), streaming.len());
     for ((_, a), (_, b)) in materialized.iter().zip(streaming.iter()) {
         assert_eq!(a.support(), b.support());

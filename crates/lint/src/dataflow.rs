@@ -94,7 +94,7 @@ pub type Env = BTreeMap<String, VarFact>;
 /// uses for method calls).
 ///
 /// The *in*-transfer (argument taints reaching the return value) needs
-/// no field: [`Analysis::expr_fact`] already unions the taints of every
+/// no field: `Analysis::expr_fact` already unions the taints of every
 /// value ident in an expression, so `f(tainted)` taints the result by
 /// construction. The fields here carry what intraprocedural analysis
 /// cannot see: what happens *inside* the callee.

@@ -21,8 +21,8 @@
 use sparse_rsm::basis::{Dictionary, DictionaryKind};
 use sparse_rsm::core::lar::LarConfig;
 use sparse_rsm::core::lasso_cd::{penalty_max, LassoCdConfig};
-use sparse_rsm::core::select::{cross_validate, cross_validate_source, CvConfig};
-use sparse_rsm::core::solver::fit_path;
+use sparse_rsm::core::select::CvConfig;
+use sparse_rsm::core::solver::{fit, fit_path, ModelOrder};
 use sparse_rsm::core::source::{CachedSource, DictionarySource, RowSubsetSource};
 use sparse_rsm::core::{Method, SparsePath};
 use sparse_rsm::linalg::{tol, Matrix};
@@ -139,10 +139,10 @@ fn dictionary_backend_paths_are_thread_count_invariant() {
     use sparse_rsm::core::star::StarConfig;
     let src = DictionarySource::new(&dict, &samples);
     sweep_threads("OMP on DictionarySource", || {
-        OmpConfig::new(10).fit_source(&src, &f).unwrap()
+        OmpConfig::new(10).fit(&src, &f).unwrap()
     });
     sweep_threads("STAR on DictionarySource", || {
-        StarConfig::new(10).fit_source(&src, &f).unwrap()
+        StarConfig::new(10).fit(&src, &f).unwrap()
     });
     runtime::set_threads(0);
 }
@@ -161,7 +161,7 @@ fn dictionary_backend_matches_materialized_matrix_exactly_per_thread_count() {
     for &n in &THREAD_COUNTS {
         runtime::set_threads(n);
         let via_matrix = OmpConfig::new(8).fit(&g, &f).unwrap();
-        let via_source = OmpConfig::new(8).fit_source(&src, &f).unwrap();
+        let via_source = OmpConfig::new(8).fit(&src, &f).unwrap();
         assert_eq!(
             via_matrix.final_model().support(),
             via_source.final_model().support(),
@@ -175,12 +175,12 @@ fn dictionary_backend_matches_materialized_matrix_exactly_per_thread_count() {
 fn cross_validation_is_thread_count_invariant() {
     let _guard = THREADS_LOCK.lock().unwrap();
     let (g, f) = matrix_problem();
-    let cfg = CvConfig::new(12);
+    let order = ModelOrder::CrossValidated(CvConfig::new(12));
     runtime::set_threads(1);
-    let base = cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Omp, gt, ft, 12)).unwrap();
+    let base = fit(&g, &f, Method::Omp, &order).unwrap().cv.unwrap();
     for &n in &THREAD_COUNTS[1..] {
         runtime::set_threads(n);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Omp, gt, ft, 12)).unwrap();
+        let cv = fit(&g, &f, Method::Omp, &order).unwrap().cv.unwrap();
         assert_eq!(
             cv.best_lambda, base.best_lambda,
             "λ* differs at {n} threads"
@@ -237,7 +237,7 @@ fn lar_dense_and_source_backends_agree_per_thread_count() {
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
         let dense = LarConfig::new(10).fit(&g, &f).unwrap();
-        let implicit = LarConfig::new(10).fit_source(&src, &f).unwrap();
+        let implicit = LarConfig::new(10).fit(&src, &f).unwrap();
         assert_paths_same_support_close_coeffs(
             &dense,
             &implicit,
@@ -257,7 +257,7 @@ fn lasso_cd_dense_and_source_backends_agree_per_thread_count() {
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
         let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit_source(&src, &f).unwrap();
+        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
         assert_eq!(
             dense.support(),
             implicit.support(),
@@ -280,15 +280,11 @@ fn cv_dense_and_source_backends_pick_the_same_model() {
     let (dict, samples, f) = dictionary_problem();
     let g = dict.design_matrix(&samples);
     let src = DictionarySource::new(&dict, &samples);
-    let cfg = CvConfig::new(8);
+    let order = ModelOrder::CrossValidated(CvConfig::new(8));
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
-        let dense =
-            cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Lar, gt, ft, 8)).unwrap();
-        let implicit = cross_validate_source(&src, &f, &cfg, |view, ft| {
-            fit_path(Method::Lar, view, ft, 8)
-        })
-        .unwrap();
+        let dense = fit(&g, &f, Method::Lar, &order).unwrap().cv.unwrap();
+        let implicit = fit(&src, &f, Method::Lar, &order).unwrap().cv.unwrap();
         assert_eq!(
             dense.best_lambda, implicit.best_lambda,
             "CV backends disagree on λ* at {n} threads"
@@ -313,8 +309,8 @@ fn cached_source_is_bit_transparent() {
     let cached = CachedSource::new(&src);
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
-        let plain = LarConfig::new(10).fit_source(&src, &f).unwrap();
-        let memo = LarConfig::new(10).fit_source(&cached, &f).unwrap();
+        let plain = LarConfig::new(10).fit(&src, &f).unwrap();
+        let memo = LarConfig::new(10).fit(&cached, &f).unwrap();
         assert_paths_bit_identical(&plain, &memo, &format!("CachedSource LAR @ {n} threads"));
     }
     runtime::set_threads(0);

@@ -3,7 +3,7 @@
 //! Section II–IV of the paper chains it.
 
 use sparse_rsm::basis::{Dictionary, DictionaryKind};
-use sparse_rsm::core::select::{cross_validate, CvConfig};
+use sparse_rsm::core::select::CvConfig;
 use sparse_rsm::core::{solver, Method, ModelOrder};
 use sparse_rsm::linalg::Matrix;
 use sparse_rsm::stats::metrics::relative_error;
@@ -101,10 +101,11 @@ fn cross_validation_prevents_overfitting_under_noise() {
         .map(|r| 2.0 * g[(r, 4)] - g[(r, 77)] + 0.5 * rng.sample())
         .collect();
     let cfg = CvConfig::new(40);
-    let cv = cross_validate(&g, &f, &cfg, |gt, ft| {
-        solver::fit_path(Method::Omp, gt, ft, 40)
-    })
-    .unwrap();
+    let order = ModelOrder::CrossValidated(cfg);
+    let cv = solver::fit(&g, &f, Method::Omp, &order)
+        .unwrap()
+        .cv
+        .unwrap();
     assert!(
         cv.best_lambda <= 10,
         "CV chose λ = {} under heavy noise",
