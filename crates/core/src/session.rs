@@ -95,6 +95,15 @@ pub trait FitSession {
     ) -> Result<()>;
 }
 
+/// The refusal for a NaN met in an argmax scan. NaN compares false
+/// against every bound, so without it LAR would skip the atom and OMP
+/// would select it, both silently.
+fn nan_correlation(j: usize) -> CoreError {
+    CoreError::Numerical(format!(
+        "correlation of atom {j} is NaN; a sample or response value feeding it is not finite"
+    ))
+}
+
 /// Validates a batch against the rows already consumed. Returns the
 /// batch row indices as a vector (for [`RowSubsetSource`] views).
 fn check_batch<S: AtomSource + ?Sized>(
@@ -387,7 +396,7 @@ impl LarSession {
     /// # Errors
     ///
     /// [`CoreError::Numerical`] if the active-set factorization breaks
-    /// down irrecoverably.
+    /// down irrecoverably, or if a candidate atom's correlation is NaN.
     pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
         self.ensure_started();
         let k = self.k;
@@ -416,6 +425,8 @@ impl LarSession {
                 if a > cmax {
                     cmax = a;
                     jbest = Some(j);
+                } else if a.is_nan() {
+                    return Err(nan_correlation(j));
                 }
             }
             if st.active.len() < st.max_active {
@@ -826,7 +837,8 @@ impl OmpSession {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Numerical`] if the LS re-fit fails.
+    /// [`CoreError::Numerical`] if the LS re-fit fails, or if a
+    /// candidate atom's correlation is NaN.
     pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
         if self.done {
             return Ok(StepOutcome::Finished);
@@ -868,6 +880,7 @@ impl OmpSession {
                 let score = v.abs();
                 match best {
                     Some((_, b)) if score <= b => {}
+                    _ if score.is_nan() => return Err(nan_correlation(j)),
                     _ => best = Some((j, score)),
                 }
             }

@@ -115,6 +115,28 @@ pub enum StmtKind {
     },
 }
 
+impl StmtKind {
+    /// The expression ranges the statement evaluates in its own basic
+    /// block, in source order: initializer, condition, iterator, or
+    /// scrutinee plus arm guards. Nested bodies belong to successor
+    /// blocks and are not included; neither is a `const` initializer,
+    /// which only the shape pass scans.
+    pub fn expr_ranges(&self) -> Vec<ExprRange> {
+        match self {
+            StmtKind::Let { init, .. } => init.iter().cloned().collect(),
+            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => vec![cond.clone()],
+            StmtKind::For { iter, .. } => vec![iter.clone()],
+            StmtKind::Match { scrutinee, arms } => std::iter::once(scrutinee.clone())
+                .chain(arms.iter().filter_map(|a| a.guard.clone()))
+                .collect(),
+            StmtKind::Expr { range } => vec![range.clone()],
+            StmtKind::Const { .. } | StmtKind::Loop { .. } | StmtKind::BlockStmt { .. } => {
+                Vec::new()
+            }
+        }
+    }
+}
+
 /// One recovered statement.
 #[derive(Debug, Clone)]
 pub struct Stmt {
@@ -176,6 +198,58 @@ pub fn pattern_binders(code: &[(usize, &Token)], range: ExprRange) -> Vec<String
     names
 }
 
+/// Advances past one balanced delimiter group if `i` opens one;
+/// otherwise advances one token. Only `()[]{}` nest — `<`/`>` are
+/// comparison operators to this layer.
+pub fn skip_group(code: &[(usize, &Token)], i: usize) -> usize {
+    let tok = |j: usize| code.get(j).map(|&(_, t)| t);
+    let Some(t) = tok(i) else { return i + 1 };
+    for (open, close) in [("(", ")"), ("[", "]"), ("{", "}")] {
+        if t.is_punct(open) {
+            let mut depth = 0usize;
+            let mut j = i;
+            while let Some(t) = tok(j) {
+                if t.is_punct(open) {
+                    depth += 1;
+                } else if t.is_punct(close) {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
+                    }
+                }
+                j += 1;
+            }
+            return j;
+        }
+    }
+    i + 1
+}
+
+/// Splits `[start, end)` at top-level commas, dropping empty pieces.
+pub fn split_args(code: &[(usize, &Token)], start: usize, end: usize) -> Vec<ExprRange> {
+    let mut out = Vec::new();
+    let mut seg = start;
+    let mut i = start;
+    while i < end {
+        let Some(&(_, t)) = code.get(i) else { break };
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+            i = skip_group(code, i);
+            continue;
+        }
+        if t.is_punct(",") {
+            if i > seg {
+                out.push(seg..i);
+            }
+            seg = i + 1;
+        }
+        i += 1;
+    }
+    if end > seg {
+        out.push(seg..end);
+    }
+    out
+}
+
 /// Parses the statement tree of one body. `code` must be the
 /// comment-free token slice of the body **including** the outer braces
 /// (`code[0]` is `{`).
@@ -222,32 +296,6 @@ impl BodyParser<'_, '_> {
         self.ir.blocks.len() - 1
     }
 
-    /// Advances past one balanced delimiter group if `i` opens one;
-    /// otherwise advances one token. Only `()[]{}` nest — `<`/`>` are
-    /// comparison operators to this layer.
-    fn skip_token_or_group(&self, i: usize) -> usize {
-        let Some(t) = self.tok(i) else { return i + 1 };
-        for (open, close) in [("(", ")"), ("[", "]"), ("{", "}")] {
-            if t.is_punct(open) {
-                let mut depth = 0usize;
-                let mut j = i;
-                while let Some(t) = self.tok(j) {
-                    if t.is_punct(open) {
-                        depth += 1;
-                    } else if t.is_punct(close) {
-                        depth -= 1;
-                        if depth == 0 {
-                            return j + 1;
-                        }
-                    }
-                    j += 1;
-                }
-                return j;
-            }
-        }
-        i + 1
-    }
-
     /// Scans from `i` to the first top-level token satisfying `stop`,
     /// skipping balanced groups. Returns the stop index (or EOF).
     fn scan_until(&self, mut i: usize, stop: impl Fn(&Token) -> bool) -> usize {
@@ -255,7 +303,7 @@ impl BodyParser<'_, '_> {
             if stop(t) {
                 return i;
             }
-            i = self.skip_token_or_group(i);
+            i = skip_group(self.code, i);
         }
         i
     }
@@ -264,7 +312,7 @@ impl BodyParser<'_, '_> {
     /// block and the index one past the matching `}`.
     fn block(&mut self, i: usize) -> (BlockId, usize) {
         debug_assert!(self.tok(i.wrapping_sub(1)).is_some_and(|t| t.is_punct("{")));
-        let end = self.skip_token_or_group(i - 1); // one past `}`
+        let end = skip_group(self.code, i - 1); // one past `}`
         let (b, _) = self.stmts_until(i, end.saturating_sub(1));
         (b, end)
     }
@@ -418,7 +466,7 @@ impl BodyParser<'_, '_> {
     fn match_stmt(&mut self, i: usize, end: usize, line: u32) -> (Option<StmtId>, usize) {
         let open = self.scan_until(i + 1, |t| t.is_punct("{")).min(end);
         let scrutinee = i + 1..open;
-        let match_end = self.skip_token_or_group(open); // one past `}`
+        let match_end = skip_group(self.code, open); // one past `}`
         let mut arms = Vec::new();
         let mut j = open + 1;
         let arms_end = match_end.saturating_sub(1);
@@ -602,12 +650,125 @@ impl Cfg {
             StmtKind::Let { .. } | StmtKind::Const { .. } | StmtKind::Expr { .. } => cur,
         }
     }
+}
 
-    /// Deterministic reverse-post-order-ish iteration order: block
-    /// indices ascending (blocks are allocated in source order).
-    pub fn block_order(&self) -> impl Iterator<Item = usize> {
-        0..self.blocks.len()
+/// Round cap of every fixpoint in the crate. Converging inputs settle
+/// far below it; reaching it is reported as [`NonConvergence`].
+pub const MAX_ROUNDS: usize = 64;
+
+/// A fixpoint still changing when its round cap ran out. Facts cut off
+/// mid-iteration under-approximate what can reach a sink, so a run that
+/// hits this is refused instead of reported.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NonConvergence {
+    /// The engine that gave up: `dataflow`, `protocol`, `shape` or
+    /// `summary`.
+    pub engine: &'static str,
+    /// Key of the function analyzed (for `summary`, the first member
+    /// of the call-graph cycle).
+    pub fn_key: String,
+    /// Rounds run before giving up.
+    pub rounds: usize,
+}
+
+impl NonConvergence {
+    /// Names the function the stalled body belongs to.
+    pub fn in_fn(self, fn_key: &str) -> NonConvergence {
+        NonConvergence {
+            fn_key: fn_key.to_string(),
+            ..self
+        }
     }
+}
+
+impl std::fmt::Display for NonConvergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the {} fixpoint for `{}` did not converge within {} rounds; refusing to \
+             report findings from a truncated analysis",
+            self.engine, self.fn_key, self.rounds
+        )
+    }
+}
+
+/// A forward analysis over a [`Cfg`], run by [`solve`].
+pub trait Forward {
+    /// Per-program-point facts; `Default` is the bottom element.
+    type Env: Clone + Default;
+    /// Engine name reported in [`NonConvergence`].
+    const ENGINE: &'static str;
+    /// Applies one statement's effect to `env`.
+    fn transfer(&self, env: &mut Self::Env, sid: StmtId);
+    /// Joins `src` into `dst`; returns whether `dst` changed.
+    fn join(dst: &mut Self::Env, src: &Self::Env) -> bool;
+    /// Refined environments for the edges out of a block whose
+    /// statements are `stmts` and whose exit state is `exit`: the first
+    /// for `succs[0]` (the then edge), the second for every other
+    /// successor. `None` sends `exit` unrefined.
+    fn edge_envs(
+        &self,
+        _exit: &Self::Env,
+        _stmts: &[StmtId],
+    ) -> (Option<Self::Env>, Option<Self::Env>) {
+        (None, None)
+    }
+}
+
+/// Runs `a` to its fixpoint over `cfg` from `entry` (the entry block's
+/// in-state), then re-walks each block from its stable in-state and
+/// calls `visit` on every statement *before* its transfer, so sinks see
+/// the facts that reach them.
+///
+/// Blocks are visited in index order (allocation order, which follows
+/// the source), so the first-witness-wins traces are deterministic.
+///
+/// # Errors
+///
+/// [`NonConvergence`] (with an empty `fn_key`, see
+/// [`NonConvergence::in_fn`]) when the in-states still change after
+/// [`MAX_ROUNDS`] rounds.
+pub fn solve<A: Forward>(
+    a: &A,
+    cfg: &Cfg,
+    entry: A::Env,
+    mut visit: impl FnMut(&A::Env, StmtId),
+) -> Result<(), NonConvergence> {
+    let mut envs: Vec<A::Env> = vec![A::Env::default(); cfg.blocks.len()];
+    envs[cfg.entry] = entry;
+    let mut rounds = 0;
+    loop {
+        if rounds == MAX_ROUNDS {
+            return Err(NonConvergence {
+                engine: A::ENGINE,
+                fn_key: String::new(),
+                rounds,
+            });
+        }
+        rounds += 1;
+        let mut changed = false;
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            let mut env = envs[b].clone();
+            for &sid in &block.stmts {
+                a.transfer(&mut env, sid);
+            }
+            let (then_env, fall_env) = a.edge_envs(&env, &block.stmts);
+            for (si, &s) in block.succs.iter().enumerate() {
+                let refined = if si == 0 { &then_env } else { &fall_env };
+                changed |= A::join(&mut envs[s], refined.as_ref().unwrap_or(&env));
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    for (block, mut env) in cfg.blocks.iter().zip(envs) {
+        for &sid in &block.stmts {
+            visit(&env, sid);
+            a.transfer(&mut env, sid);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -761,5 +922,76 @@ mod tests {
         let code = code_of(&toks);
         let ir = parse_body(&code);
         assert_eq!(kinds(&ir, ir.root), vec!["expr"]);
+    }
+
+    /// Statements executed on some path into each point: a union
+    /// lattice, so the loop's back edge settles after one extra round.
+    struct Reached;
+
+    impl Forward for Reached {
+        type Env = std::collections::BTreeSet<StmtId>;
+        const ENGINE: &'static str = "reached";
+        fn transfer(&self, env: &mut Self::Env, sid: StmtId) {
+            env.insert(sid);
+        }
+        fn join(dst: &mut Self::Env, src: &Self::Env) -> bool {
+            let before = dst.len();
+            dst.extend(src);
+            dst.len() != before
+        }
+    }
+
+    /// A join that reports a change every time: no fixpoint exists.
+    struct Diverging;
+
+    impl Forward for Diverging {
+        type Env = u64;
+        const ENGINE: &'static str = "diverging";
+        fn transfer(&self, _env: &mut u64, _sid: StmtId) {}
+        fn join(dst: &mut u64, _src: &u64) -> bool {
+            *dst += 1;
+            true
+        }
+    }
+
+    #[test]
+    fn solver_joins_loop_back_edges_and_visits_before_transfer() {
+        let (_t, ir) = ir_of("{ let a = 1.0; while c { step(); } done(); }");
+        let cfg = Cfg::build(&ir);
+        let mut seen = Vec::new();
+        solve(&Reached, &cfg, Default::default(), |env, sid| {
+            seen.push((sid, env.clone()));
+        })
+        .expect("a union lattice converges");
+        // `done()` is reached after the loop body ran on some path, and
+        // its own transfer is not yet applied when it is visited.
+        let (done, env) = seen.last().expect("statements visited");
+        assert!(!env.contains(done));
+        let StmtKind::While { body, .. } = ir.stmts[ir.blocks[ir.root].stmts[1]].kind else {
+            panic!("while expected");
+        };
+        assert!(env.contains(&ir.blocks[body].stmts[0]), "{env:?}");
+        assert_eq!(seen.len(), ir.stmts.len());
+    }
+
+    #[test]
+    fn solver_refuses_at_the_round_cap() {
+        let (_t, ir) = ir_of("{ let a = 1.0; if c { f(); } }");
+        let cfg = Cfg::build(&ir);
+        let mut visited = 0;
+        let err = solve(&Diverging, &cfg, 0, |_, _| visited += 1)
+            .expect_err("a join that never settles must not be reported");
+        assert_eq!(
+            err,
+            NonConvergence {
+                engine: "diverging",
+                fn_key: String::new(),
+                rounds: MAX_ROUNDS,
+            }
+        );
+        assert_eq!(visited, 0, "no sink sees facts from a truncated run");
+        let err = err.in_fn("core::lar::fit");
+        assert!(err.to_string().contains("`core::lar::fit`"), "{err}");
+        assert!(err.to_string().contains("diverging"), "{err}");
     }
 }

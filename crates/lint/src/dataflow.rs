@@ -36,7 +36,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{parse_body, pattern_binders, BodyIr, Cfg, ExprRange, StmtId, StmtKind};
+use crate::cfg::{
+    parse_body, pattern_binders, skip_group, solve, split_args, BodyIr, Cfg, ExprRange, Forward,
+    NonConvergence, StmtId, StmtKind,
+};
 use crate::lexer::{float_literal_value, Token, TokenKind};
 
 /// How a float value can become NaN/Inf-capable.
@@ -160,21 +163,6 @@ fn join_fact(dst: &mut VarFact, other: &VarFact) -> bool {
     changed
 }
 
-/// Joins `src` into `dst` pointwise; returns whether `dst` changed.
-fn join_env(dst: &mut Env, src: &Env) -> bool {
-    let mut changed = false;
-    for (name, fact) in src {
-        match dst.get_mut(name) {
-            Some(d) => changed |= join_fact(d, fact),
-            None => {
-                dst.insert(name.clone(), fact.clone());
-                changed = true;
-            }
-        }
-    }
-    changed
-}
-
 /// What a sink scan found (one finding-to-be, pre-rule-mapping).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
@@ -265,9 +253,13 @@ pub fn tolerance_like(v: f64) -> bool {
 /// the body (braces included), `file` the workspace-relative path used
 /// in trace frames. Callee effects default to empty (pure
 /// intraprocedural view).
-pub fn analyze(code: &[(usize, &Token)], file: &str) -> Vec<Event> {
+///
+/// # Errors
+///
+/// [`NonConvergence`] if the fixpoint hits the round cap.
+pub fn analyze(code: &[(usize, &Token)], file: &str) -> Result<Vec<Event>, NonConvergence> {
     let effects = BTreeMap::new();
-    analyze_with(code, file, &[], &effects).events
+    Ok(analyze_with(code, file, &[], &effects)?.events)
 }
 
 /// [`analyze`] with the interprocedural inputs: the analyzed function's
@@ -279,7 +271,7 @@ pub fn analyze_with(
     file: &str,
     params: &[String],
     effects: &BTreeMap<String, CalleeEffect>,
-) -> BodyFacts {
+) -> Result<BodyFacts, NonConvergence> {
     let ir = parse_body(code);
     let cfg = Cfg::build(&ir);
     let a = Analysis {
@@ -289,29 +281,6 @@ pub fn analyze_with(
         params,
         effects,
     };
-
-    // Forward fixpoint: block in-states, joined from predecessor
-    // out-states, until stable. The lattice is finite (3 taint bits +
-    // a height-3 konst chain per variable), so this terminates; the
-    // round cap is a defensive backstop only.
-    let mut envs: Vec<Env> = vec![Env::new(); cfg.blocks.len()];
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds < 64 {
-        changed = false;
-        rounds += 1;
-        for b in cfg.block_order() {
-            let mut env = envs[b].clone();
-            for &sid in &cfg.blocks[b].stmts.clone() {
-                a.transfer(&mut env, sid);
-            }
-            for &s in &cfg.blocks[b].succs.clone() {
-                let mut out = std::mem::take(&mut envs[s]);
-                changed |= join_env(&mut out, &env);
-                envs[s] = out;
-            }
-        }
-    }
 
     // Exit statements: explicit `return <expr>` statements plus the
     // body's tail expression (an `if`/`match` tail stays opaque — a
@@ -330,21 +299,20 @@ pub fn analyze_with(
         }
     }
 
-    // Sink scan: re-walk each block from its in-state, scanning every
-    // statement's expression ranges *before* applying its transfer
-    // (uses see the facts that reach them).
+    // The lattice is finite (3 taint bits + a height-3 konst chain per
+    // variable), so the fixpoint settles well inside the round cap.
     let mut facts = BodyFacts::default();
-    for b in cfg.block_order() {
-        let mut env = envs[b].clone();
-        for &sid in &cfg.blocks[b].stmts {
-            a.scan_stmt(&env, sid, &mut facts);
-            if let Some(r) = exits.get(&sid) {
-                let f = a.expr_fact(&env, r);
-                facts.ret_taints.extend(f.taints.iter().copied());
-            }
-            a.transfer(&mut env, sid);
+    solve(&a, &cfg, Env::new(), |env, sid| {
+        // A named-constant initializer is the sanctioned spelling and
+        // is not among the scanned ranges.
+        for r in ir.stmts[sid].kind.expr_ranges() {
+            a.scan_range(env, &r, &mut facts);
         }
-    }
+        if let Some(r) = exits.get(&sid) {
+            let f = a.expr_fact(env, r);
+            facts.ret_taints.extend(f.taints.iter().copied());
+        }
+    })?;
 
     a.parallel_crossings(&mut facts.events);
 
@@ -354,7 +322,7 @@ pub fn analyze_with(
     // *distinct* findings (two guards on one line) — no dedup here;
     // the rule layer collapses per (file, line, rule) for reporting.
     facts.events.sort_by_key(|e| e.line);
-    facts
+    Ok(facts)
 }
 
 struct Analysis<'a> {
@@ -376,30 +344,6 @@ impl Analysis<'_> {
 
     fn at(&self, line: u32) -> String {
         format!("{}:{}", self.file, line)
-    }
-
-    /// Skips one balanced `()[]{}` group (or one token).
-    fn skip_group(&self, i: usize) -> usize {
-        let Some(t) = self.tok(i) else { return i + 1 };
-        for (open, close) in [("(", ")"), ("[", "]"), ("{", "}")] {
-            if t.is_punct(open) {
-                let mut depth = 0usize;
-                let mut j = i;
-                while let Some(t) = self.tok(j) {
-                    if t.is_punct(open) {
-                        depth += 1;
-                    } else if t.is_punct(close) {
-                        depth -= 1;
-                        if depth == 0 {
-                            return j + 1;
-                        }
-                    }
-                    j += 1;
-                }
-                return j;
-            }
-        }
-        i + 1
     }
 
     /// True when the ident at `i` names a *value* (not a method being
@@ -496,6 +440,26 @@ impl Analysis<'_> {
         fact.trace.truncate(MAX_TRACE);
         fact
     }
+}
+
+impl Forward for Analysis<'_> {
+    type Env = Env;
+    const ENGINE: &'static str = "dataflow";
+
+    /// Joins `src` into `dst` pointwise.
+    fn join(dst: &mut Env, src: &Env) -> bool {
+        let mut changed = false;
+        for (name, fact) in src {
+            match dst.get_mut(name) {
+                Some(d) => changed |= join_fact(d, fact),
+                None => {
+                    dst.insert(name.clone(), fact.clone());
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
 
     fn transfer(&self, env: &mut Env, sid: StmtId) {
         let stmt = &self.ir.stmts[sid];
@@ -566,7 +530,9 @@ impl Analysis<'_> {
             | StmtKind::BlockStmt { .. } => {}
         }
     }
+}
 
+impl Analysis<'_> {
     /// Applies `x = RHS` / `x op= RHS` inside an opaque expression
     /// statement.
     fn transfer_assignment(&self, env: &mut Env, range: &ExprRange) {
@@ -604,7 +570,7 @@ impl Analysis<'_> {
         while i < range.end {
             let t = self.tok(i)?;
             if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                i = self.skip_group(i);
+                i = skip_group(self.code, i);
                 continue;
             }
             if t.is_punct("=")
@@ -682,32 +648,6 @@ impl Analysis<'_> {
     // Sink scans (R8 / R9)
     // ------------------------------------------------------------------
 
-    fn scan_stmt(&self, env: &Env, sid: StmtId, facts: &mut BodyFacts) {
-        match &self.ir.stmts[sid].kind {
-            StmtKind::Let { init, .. } => {
-                if let Some(r) = init {
-                    self.scan_range(env, r, facts);
-                }
-            }
-            // Named-constant initializers are the sanctioned spelling.
-            StmtKind::Const { .. } => {}
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => {
-                self.scan_range(env, cond, facts);
-            }
-            StmtKind::For { iter, .. } => self.scan_range(env, iter, facts),
-            StmtKind::Match { scrutinee, arms } => {
-                self.scan_range(env, scrutinee, facts);
-                for arm in arms {
-                    if let Some(g) = &arm.guard {
-                        self.scan_range(env, g, facts);
-                    }
-                }
-            }
-            StmtKind::Expr { range } => self.scan_range(env, range, facts),
-            StmtKind::Loop { .. } | StmtKind::BlockStmt { .. } => {}
-        }
-    }
-
     /// True when the token at `i` sits next to a `<`/`>`/`<=`/`>=`
     /// comparison operator (the lexer fuses `==`/`!=` but keeps
     /// `<=`/`>=` as two tokens).
@@ -745,7 +685,7 @@ impl Analysis<'_> {
                 && self.tok(j - 1).is_some_and(|t| t.is_punct("."))
                 && self.tok(j + 1).is_some_and(|t| t.is_punct("("))
             {
-                let close = self.skip_group(j + 1);
+                let close = skip_group(self.code, j + 1);
                 if (j + 2..close).contains(&i) {
                     return true;
                 }
@@ -781,8 +721,8 @@ impl Analysis<'_> {
                 i += 1;
                 continue;
             }
-            let close = self.skip_group(i + 1);
-            let args = self.split_args(i + 2, close.saturating_sub(1));
+            let close = skip_group(self.code, i + 1);
+            let args = split_args(self.code, i + 2, close.saturating_sub(1));
             for (ai, arg) in args.iter().enumerate() {
                 if !eff.tol_param_compare.contains(&ai) {
                     continue;
@@ -913,7 +853,7 @@ impl Analysis<'_> {
 
                 // R9a: partial_cmp(..).unwrap()/.expect(..)
                 if id == "partial_cmp" && self.tok(i + 1).is_some_and(|n| n.is_punct("(")) {
-                    let close = self.skip_group(i + 1);
+                    let close = skip_group(self.code, i + 1);
                     if self.tok(close).is_some_and(|n| n.is_punct(".")) {
                         if let Some(m) = self.tok(close + 1).and_then(Token::ident) {
                             if m == "unwrap" || m == "expect" {
@@ -942,7 +882,7 @@ impl Analysis<'_> {
                     && self.tok(i - 1).is_some_and(|p| p.is_punct("."))
                     && self.tok(i + 1).is_some_and(|n| n.is_punct("("))
                 {
-                    let close = self.skip_group(i + 1);
+                    let close = skip_group(self.code, i + 1);
                     let has_partial = (i + 2..close)
                         .any(|k| self.tok(k).and_then(Token::ident) == Some("partial_cmp"));
                     if has_partial {
@@ -1018,8 +958,8 @@ impl Analysis<'_> {
                 continue;
             }
             let entry = self.tok(i).and_then(Token::ident).unwrap().to_string();
-            let close = self.skip_group(i + 1);
-            let args = self.split_args(i + 2, close.saturating_sub(1));
+            let close = skip_group(self.code, i + 1);
+            let args = split_args(self.code, i + 2, close.saturating_sub(1));
             let closures: Vec<ExprRange> = args
                 .into_iter()
                 .filter(|r| self.closure_head(r.start).is_some())
@@ -1050,37 +990,12 @@ impl Analysis<'_> {
         }
     }
 
-    /// Splits `[start, end)` at top-level commas.
-    fn split_args(&self, start: usize, end: usize) -> Vec<ExprRange> {
-        let mut out = Vec::new();
-        let mut arg_start = start;
-        let mut i = start;
-        while i < end {
-            let Some(t) = self.tok(i) else { break };
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                i = self.skip_group(i);
-                continue;
-            }
-            if t.is_punct(",") {
-                if i > arg_start {
-                    out.push(arg_start..i);
-                }
-                arg_start = i + 1;
-            }
-            i += 1;
-        }
-        if end > arg_start {
-            out.push(arg_start..end);
-        }
-        out
-    }
-
     /// Binder names of a closure parameter list `[start, end)` (the
     /// region between the two `|`s): per-parameter, only tokens before
     /// the top-level `:` bind.
     fn closure_params(&self, start: usize, end: usize) -> Vec<String> {
         let mut names = Vec::new();
-        for param in self.split_args(start, end) {
+        for param in split_args(self.code, start, end) {
             let mut stop = param.end;
             for k in param.clone() {
                 if self.tok(k).is_some_and(|t| t.is_punct(":")) {
@@ -1129,7 +1044,7 @@ impl Analysis<'_> {
                             .tok(eq)
                             .is_some_and(|t| t.is_punct("(") || t.is_punct("[") || t.is_punct("{"))
                         {
-                            self.skip_group(eq)
+                            skip_group(self.code, eq)
                         } else {
                             eq + 1
                         };
@@ -1170,7 +1085,7 @@ impl Analysis<'_> {
                             .tok(iter_end)
                             .is_some_and(|t| t.is_punct("(") || t.is_punct("["))
                         {
-                            self.skip_group(iter_end)
+                            skip_group(self.code, iter_end)
                         } else {
                             iter_end + 1
                         };
@@ -1215,7 +1130,7 @@ impl Analysis<'_> {
                 .filter(|_| self.tok(k + 1).is_some_and(|n| n.is_punct("(")))
             {
                 if self.effects.get(name).is_some_and(|e| e.mutates_params) {
-                    let close = self.skip_group(k + 1);
+                    let close = skip_group(self.code, k + 1);
                     if let Some(targets) = self.mut_borrow_roots(k + 2, close.saturating_sub(1)) {
                         for target in targets {
                             let Some(outer) = self.escapes(&target, &locals, &roots) else {
@@ -1418,7 +1333,7 @@ mod tests {
             .enumerate()
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
-        analyze(&code, "test.rs")
+        analyze(&code, "test.rs").expect("converges")
     }
 
     #[test]
@@ -1643,7 +1558,7 @@ mod tests {
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
         let params: Vec<String> = params.iter().map(|s| s.to_string()).collect();
-        analyze_with(&code, "test.rs", &params, effects)
+        analyze_with(&code, "test.rs", &params, effects).expect("converges")
     }
 
     #[test]

@@ -417,10 +417,6 @@ pub struct Report {
     /// Base git ref when the run was restricted with `--diff` (the
     /// whole workspace is still parsed; only emission is filtered).
     pub diff_base: Option<String>,
-    /// Honored suppressions per file — the incremental cache persists
-    /// these so a warm run can reconstruct `suppressions_used` for any
-    /// subset of clean files. Not serialized into the report JSON.
-    pub suppressions_by_file: std::collections::BTreeMap<String, usize>,
 }
 
 impl Report {

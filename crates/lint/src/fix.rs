@@ -29,7 +29,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::diag::Fix;
-use crate::{rules, workspace_units};
 
 /// Upper bound on lint→apply passes before declaring non-convergence.
 pub const MAX_PASSES: usize = 4;
@@ -92,7 +91,7 @@ pub fn apply_edits(src: &str, edits: &[Fix]) -> Result<String, String> {
 
 /// One workspace lint, reduced to the per-file fix lists.
 fn collect_fixes(root: &Path) -> Result<BTreeMap<String, Vec<Fix>>, String> {
-    let report = rules::lint_units(&workspace_units(root)?, |_| true);
+    let report = crate::lint_workspace(root)?;
     let mut per_file: BTreeMap<String, Vec<Fix>> = BTreeMap::new();
     for d in &report.diagnostics {
         if let Some(f) = &d.fix {

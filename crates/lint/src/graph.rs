@@ -865,7 +865,7 @@ fn scan_body(code: &[(usize, &Token)]) -> BodyScan {
 /// `units`: the module pseudo-node of unit `ui` is
 /// `unit_first_item[ui] - 1` and item `oi` of that unit is
 /// `unit_first_item[ui] + oi`. Shared by every pass that walks bodies
-/// against the graph (rules, perf, summaries, cache).
+/// against the graph (rules, perf, summaries).
 pub fn unit_first_item(units: &[Unit]) -> Vec<usize> {
     let mut first = vec![0usize; units.len()];
     let mut next = 0usize;

@@ -48,10 +48,7 @@
 //! `returns_result` summaries, R15 uses tolerance-parameter summaries.
 //! Known findings can be ratcheted via a committed baseline
 //! ([`baseline`], `check --baseline FILE`), keyed by rule +
-//! fn-qualified path so line drift never churns it; warm runs can
-//! reuse the incremental analysis cache ([`cache`],
-//! `check --cache FILE`), keyed by per-file content hashes with
-//! call-graph-transitive invalidation.
+//! fn-qualified path so line drift never churns it.
 //!
 //! v6 adds a **symbolic shape/length dataflow** ([`shape`]): a forward
 //! fixpoint over the CFG tracks per-local symbolic lengths
@@ -68,6 +65,11 @@
 //! rule's rationale with firing/clean snippets sourced from the
 //! fixture corpus.
 //!
+//! The taint, typestate and shape engines all run on one forward
+//! solver ([`cfg::solve`]). A fixpoint that has not converged at its
+//! round cap yields [`cfg::NonConvergence`], and the whole run is
+//! refused (CLI exit 2) rather than reported from truncated facts.
+//!
 //! Violations are suppressed inline with
 //! `// rsm-lint: allow(R#) — reason` and every suppression must carry
 //! a written reason (audited by rules S0/S1). See DESIGN.md § Static
@@ -80,7 +82,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod cfg;
 pub mod dataflow;
 pub mod diag;
@@ -118,24 +119,6 @@ const SKIP_DIRS: [&str; 3] = ["target", "fixtures", ".git"];
 ///
 /// Returns a message if a scan root exists but cannot be read.
 pub fn workspace_units(root: &Path) -> Result<Vec<Unit>, String> {
-    let files = workspace_source_files(root)?;
-    let mut units = Vec::with_capacity(files.len());
-    for (rel, path) in files {
-        let class = FileClass::from_path(&rel);
-        units.push(read_unit(&path, rel, class)?);
-    }
-    Ok(units)
-}
-
-/// The `(workspace-relative label, absolute path)` pairs of every
-/// `.rs` file under the scan roots, sorted by path — the file set
-/// both [`workspace_units`] and the [`cache`] hasher walk, so the two
-/// always agree on what "the workspace" is.
-///
-/// # Errors
-///
-/// Returns a message if a scan root exists but cannot be read.
-pub fn workspace_source_files(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
     let mut files = Vec::new();
     for sub in DEFAULT_ROOTS {
         let dir = root.join(sub);
@@ -144,10 +127,13 @@ pub fn workspace_source_files(root: &Path) -> Result<Vec<(String, PathBuf)>, Str
         }
     }
     files.sort();
-    Ok(files
-        .into_iter()
-        .map(|path| (relative_label(root, &path), path))
-        .collect())
+    let mut units = Vec::with_capacity(files.len());
+    for path in files {
+        let rel = relative_label(root, &path);
+        let class = FileClass::from_path(&rel);
+        units.push(read_unit(&path, rel, class)?);
+    }
+    Ok(units)
 }
 
 /// Parses explicitly named files/directories into [`Unit`]s, each
@@ -181,9 +167,10 @@ pub fn path_units(paths: &[PathBuf]) -> Result<Vec<Unit>, String> {
 ///
 /// # Errors
 ///
-/// Returns a message if a scan root exists but cannot be read.
+/// Returns a message if a scan root exists but cannot be read, or if an
+/// analysis fixpoint does not converge (the run is then refused).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    Ok(rules::lint_units(&workspace_units(root)?, |_| true))
+    rules::lint_units(&workspace_units(root)?, |_| true).map_err(|e| e.to_string())
 }
 
 /// Lints the workspace but **emits** diagnostics only for files
@@ -194,10 +181,12 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 ///
 /// # Errors
 ///
-/// Returns a message if the tree cannot be read or `git` fails.
+/// Returns a message if the tree cannot be read, `git` fails, or an
+/// analysis fixpoint does not converge.
 pub fn lint_workspace_diff(root: &Path, base: &str) -> Result<Report, String> {
     let changed = git_changed_files(root, base)?;
-    let mut report = rules::lint_units(&workspace_units(root)?, |rel| changed.contains(rel));
+    let mut report = rules::lint_units(&workspace_units(root)?, |rel| changed.contains(rel))
+        .map_err(|e| e.to_string())?;
     report.diff_base = Some(base.to_string());
     Ok(report)
 }
@@ -206,9 +195,10 @@ pub fn lint_workspace_diff(root: &Path, base: &str) -> Result<Report, String> {
 ///
 /// # Errors
 ///
-/// Returns a message if a path cannot be read.
+/// Returns a message if a path cannot be read or an analysis fixpoint
+/// does not converge.
 pub fn lint_paths(paths: &[PathBuf]) -> Result<Report, String> {
-    Ok(rules::lint_units(&path_units(paths)?, |_| true))
+    rules::lint_units(&path_units(paths)?, |_| true).map_err(|e| e.to_string())
 }
 
 /// Workspace-relative `.rs` files changed vs `base` (committed or

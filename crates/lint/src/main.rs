@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rsm-lint check [--format human|json|sarif] [--json] [--out FILE]
-//!                [--sarif-out FILE] [--diff BASE] [--cache FILE]
+//!                [--sarif-out FILE] [--diff BASE]
 //!                [--baseline FILE [--update-baseline]] [PATH...]
 //! rsm-lint fix [--check]
 //! rsm-lint graph [PATH...]
@@ -18,14 +18,12 @@
 //! (keyed by rule + fn-qualified path, never line numbers) are
 //! filtered out and only *new* findings fail the run;
 //! `--update-baseline` rewrites FILE from the current findings instead
-//! of failing. `--cache FILE` is the incremental-analysis cache: warm
-//! runs reuse per-file results keyed by content hash (invalidated
-//! transitively through the call graph) and print the reuse stats to
-//! stderr. `fix` applies every machine-applicable edit byte-exactly
+//! of failing. `fix` applies every machine-applicable edit byte-exactly
 //! and re-lints until none remain; `fix --check` applies nothing and
 //! exits 1 if any fix *would* apply (the CI fix-cleanliness gate).
 //! `graph` prints the deterministic call-graph snapshot.
-//! Exit status: 0 clean, 1 diagnostics reported, 2 usage/IO error.
+//! Exit status: 0 clean, 1 diagnostics reported, 2 usage/IO error or
+//! an analysis fixpoint that did not converge (the run is refused).
 
 use rsm_lint::baseline::Baseline;
 use rsm_lint::diag::SOURCE_RULES;
@@ -33,7 +31,7 @@ use rsm_lint::{
     diag, find_workspace_root, lint_paths, lint_workspace, lint_workspace_diff, path_units, sarif,
     workspace_units, CallGraph,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -58,7 +56,7 @@ rsm-lint — static analysis for determinism and numerical robustness
 
 USAGE:
   rsm-lint check [--format human|json|sarif] [--json] [--out FILE]
-                 [--sarif-out FILE] [--diff BASE] [--cache FILE]
+                 [--sarif-out FILE] [--diff BASE]
                  [--baseline FILE [--update-baseline]] [PATH...]
   rsm-lint fix [--check]
   rsm-lint graph [PATH...]
@@ -66,8 +64,10 @@ USAGE:
   rsm-lint explain R#
 
 check exits 0 when clean, 1 on any unsuppressed diagnostic, 2 on
-usage/IO errors. With no PATH, the enclosing cargo workspace is
-scanned; explicit paths are linted as library-crate production code.
+usage/IO errors or when an analysis fixpoint does not converge (the
+truncated run is refused, naming the function). With no PATH, the
+enclosing cargo workspace is scanned; explicit paths are linted as
+library-crate production code.
 --format picks the stdout rendering (--json is shorthand for
 --format json); --out writes the JSON report to FILE and --sarif-out
 writes a SARIF 2.1.0 document to FILE, both while keeping the chosen
@@ -76,11 +76,7 @@ always global) but emits diagnostics only for files changed vs the
 git ref BASE, plus untracked files. --baseline FILE filters findings
 accepted by the committed ratchet (keys are rule + fn-qualified path,
 never line numbers) so only new findings fail; --update-baseline
-rewrites FILE from the current findings and exits clean. --cache FILE
-reads/writes the incremental analysis cache: files whose content hash
-matches the last run (and whose call-graph component is untouched)
-reuse their cached diagnostics; a fully unchanged workspace skips
-parsing entirely. The report is bit-identical to an uncached run.
+rewrites FILE from the current findings and exits clean.
 fix applies every machine-applicable edit (today: R10 loop rewrites)
 byte-exactly and re-lints until none remain; fix --check applies
 nothing and exits 1 when any fix would apply, so CI can require a
@@ -102,7 +98,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut out_file: Option<String> = None;
     let mut sarif_file: Option<String> = None;
     let mut diff_base: Option<String> = None;
-    let mut cache_file: Option<String> = None;
     let mut baseline_file: Option<String> = None;
     let mut update_baseline = false;
     let mut fix_check = false;
@@ -131,10 +126,6 @@ fn run(args: &[String]) -> Result<bool, String> {
                 let f = it.next().ok_or("--baseline requires a file argument")?;
                 baseline_file = Some(f.clone());
             }
-            "--cache" => {
-                let f = it.next().ok_or("--cache requires a file argument")?;
-                cache_file = Some(f.clone());
-            }
             "--update-baseline" => update_baseline = true,
             "--check" => fix_check = true,
             "--help" | "-h" => {
@@ -161,7 +152,6 @@ fn run(args: &[String]) -> Result<bool, String> {
                 out_file.as_deref(),
                 sarif_file.as_deref(),
                 diff_base.as_deref(),
-                cache_file.as_deref(),
                 baseline_file.as_deref(),
                 update_baseline,
                 &paths,
@@ -214,35 +204,15 @@ fn cmd_check(
     out_file: Option<&str>,
     sarif_file: Option<&str>,
     diff_base: Option<&str>,
-    cache_file: Option<&str>,
     baseline_file: Option<&str>,
     update_baseline: bool,
     paths: &[PathBuf],
 ) -> Result<bool, String> {
-    if cache_file.is_some() && (diff_base.is_some() || !paths.is_empty()) {
-        return Err("--cache applies to full workspace runs; drop --diff/explicit paths".into());
-    }
-    let mut report = match (paths.is_empty(), diff_base, cache_file) {
-        (true, None, Some(cache)) => {
-            let (report, stats) =
-                rsm_lint::cache::lint_workspace_cached(&workspace_root()?, Path::new(cache))?;
-            if stats.full_warm {
-                eprintln!(
-                    "rsm-lint: cache warm ({} files unchanged, no re-analysis)",
-                    stats.total
-                );
-            } else {
-                eprintln!(
-                    "rsm-lint: cache reused {} of {} files ({} re-analyzed)",
-                    stats.reused, stats.total, stats.dirty
-                );
-            }
-            report
-        }
-        (true, None, None) => lint_workspace(&workspace_root()?)?,
-        (true, Some(base), _) => lint_workspace_diff(&workspace_root()?, base)?,
-        (false, None, _) => lint_paths(paths)?,
-        (false, Some(_), _) => {
+    let mut report = match (paths.is_empty(), diff_base) {
+        (true, None) => lint_workspace(&workspace_root()?)?,
+        (true, Some(base)) => lint_workspace_diff(&workspace_root()?, base)?,
+        (false, None) => lint_paths(paths)?,
+        (false, Some(_)) => {
             return Err("--diff applies to workspace runs; drop the explicit paths".into())
         }
     };

@@ -75,12 +75,11 @@ pub(crate) fn perf_pass(
     sums: &[FnSummary],
     reach_kernel: &[Reach],
     raw: &mut Vec<Diagnostic>,
-    is_dirty: &dyn Fn(&str) -> bool,
 ) {
     let first = unit_first_item(units);
     let mut seen: BTreeSet<(String, u32, Rule)> = BTreeSet::new();
     for (ui, unit) in units.iter().enumerate() {
-        if unit.class.is_test_file || !unit.class.is_lib_crate() || !is_dirty(&unit.rel) {
+        if unit.class.is_test_file || !unit.class.is_lib_crate() {
             continue;
         }
         for (oi, item) in unit.items.iter().enumerate() {

@@ -32,7 +32,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::cfg::{parse_body, Cfg, ExprRange, StmtKind};
+use crate::cfg::{
+    parse_body, skip_group, solve, split_args, Cfg, ExprRange, Forward, NonConvergence, StmtKind,
+};
 use crate::lexer::Token;
 
 /// Ingestion methods: establish `FED`.
@@ -115,33 +117,9 @@ struct StateFact {
 
 type Env = BTreeMap<String, StateFact>;
 
-fn join_env(dst: &mut Env, src: &Env) -> bool {
-    let mut changed = false;
-    for (name, fact) in src {
-        match dst.get_mut(name) {
-            Some(d) => {
-                let merged = d.states | fact.states;
-                if merged != d.states {
-                    d.states = merged;
-                    changed = true;
-                }
-                if d.consumed_at == 0 && fact.consumed_at != 0 {
-                    d.consumed_at = fact.consumed_at;
-                    changed = true;
-                }
-            }
-            None => {
-                dst.insert(name.clone(), fact.clone());
-                changed = true;
-            }
-        }
-    }
-    changed
-}
-
 /// Runs the typestate analysis over one body (comment-free token slice
 /// including the outer braces). Returns line-sorted events.
-pub fn analyze(code: &[(usize, &Token)], file: &str) -> Vec<ProtocolEvent> {
+pub fn analyze(code: &[(usize, &Token)], file: &str) -> Result<Vec<ProtocolEvent>, NonConvergence> {
     analyze_seeded(code, file, &[])
 }
 
@@ -151,11 +129,15 @@ pub fn analyze(code: &[(usize, &Token)], file: &str) -> Vec<ProtocolEvent> {
 /// an unknown feeding history, so it is seeded `FED` — step-before-feed
 /// can never fire on it — but `into_path()` consumption is definite,
 /// so use-after-consume still does.
+///
+/// # Errors
+///
+/// [`NonConvergence`] if the fixpoint hits the round cap.
 pub fn analyze_seeded(
     code: &[(usize, &Token)],
     file: &str,
     seeds: &[(String, String, u32)],
-) -> Vec<ProtocolEvent> {
+) -> Result<Vec<ProtocolEvent>, NonConvergence> {
     let ir = parse_body(code);
     let cfg = Cfg::build(&ir);
     let a = Pass {
@@ -164,52 +146,26 @@ pub fn analyze_seeded(
         ir: &ir,
     };
 
-    let mut envs: Vec<Env> = vec![Env::new(); cfg.blocks.len()];
-    if let Some(entry) = cfg.block_order().next() {
-        for (name, ty, line) in seeds {
-            envs[entry].insert(
-                name.clone(),
-                StateFact {
-                    states: FED,
-                    decl: format!("`{name}` received as a `{ty}` parameter ({file}:{line})"),
-                    consumed_at: 0,
-                },
-            );
-        }
+    let mut entry = Env::new();
+    for (name, ty, line) in seeds {
+        entry.insert(
+            name.clone(),
+            StateFact {
+                states: FED,
+                decl: format!("`{name}` received as a `{ty}` parameter ({file}:{line})"),
+                consumed_at: 0,
+            },
+        );
     }
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds < 64 {
-        changed = false;
-        rounds += 1;
-        for b in cfg.block_order() {
-            let mut env = envs[b].clone();
-            for &sid in &cfg.blocks[b].stmts.clone() {
-                a.transfer(&mut env, sid);
-            }
-            for &s in &cfg.blocks[b].succs.clone() {
-                let mut out = std::mem::take(&mut envs[s]);
-                changed |= join_env(&mut out, &env);
-                envs[s] = out;
-            }
-        }
-    }
-
-    // Sink re-walk: scan each statement against its in-state, then
-    // apply its transfer.
     let mut events = Vec::new();
-    for b in cfg.block_order() {
-        let mut env = envs[b].clone();
-        for &sid in &cfg.blocks[b].stmts {
-            for range in a.stmt_ranges(sid) {
-                a.scan(&env, &range, &mut events);
-            }
-            a.transfer(&mut env, sid);
+    solve(&a, &cfg, entry, |env, sid| {
+        for range in ir.stmts[sid].kind.expr_ranges() {
+            a.scan(env, &range, &mut events);
         }
-    }
+    })?;
     events.sort_by_key(|e| e.line);
     events.dedup();
-    events
+    Ok(events)
 }
 
 struct Pass<'a> {
@@ -227,22 +183,6 @@ impl Pass<'_> {
         format!("{}:{}", self.file, line)
     }
 
-    /// Expression token ranges of one statement (guards included).
-    fn stmt_ranges(&self, sid: usize) -> Vec<ExprRange> {
-        match &self.ir.stmts[sid].kind {
-            StmtKind::Let { init, .. } => init.clone().into_iter().collect(),
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => vec![cond.clone()],
-            StmtKind::For { iter, .. } => vec![iter.clone()],
-            StmtKind::Match { scrutinee, arms } => {
-                let mut out = vec![scrutinee.clone()];
-                out.extend(arms.iter().filter_map(|a| a.guard.clone()));
-                out
-            }
-            StmtKind::Expr { range } => vec![range.clone()],
-            _ => Vec::new(),
-        }
-    }
-
     /// The constructor call in `range`, if any: an identifier ending in
     /// `Session` followed by `::new(`. Returns (type-name index,
     /// argument ranges).
@@ -256,60 +196,11 @@ impl Pass<'_> {
                 && self.tok(i + 2).and_then(Token::ident) == Some("new")
                 && self.tok(i + 3).is_some_and(|t| t.is_punct("("));
             if is_ctor {
-                let close = self.skip_group(i + 3);
-                return Some((i, self.split_args(i + 4, close.saturating_sub(1))));
+                let close = skip_group(self.code, i + 3);
+                return Some((i, split_args(self.code, i + 4, close.saturating_sub(1))));
             }
         }
         None
-    }
-
-    /// One balanced group skip (mirrors the dataflow engine's).
-    fn skip_group(&self, i: usize) -> usize {
-        let Some(t) = self.tok(i) else { return i + 1 };
-        for (open, close) in [("(", ")"), ("[", "]"), ("{", "}")] {
-            if t.is_punct(open) {
-                let mut depth = 0usize;
-                let mut j = i;
-                while let Some(t) = self.tok(j) {
-                    if t.is_punct(open) {
-                        depth += 1;
-                    } else if t.is_punct(close) {
-                        depth -= 1;
-                        if depth == 0 {
-                            return j + 1;
-                        }
-                    }
-                    j += 1;
-                }
-                return j;
-            }
-        }
-        i + 1
-    }
-
-    /// Splits `[start, end)` at top-level commas.
-    fn split_args(&self, start: usize, end: usize) -> Vec<ExprRange> {
-        let mut out = Vec::new();
-        let mut seg = start;
-        let mut i = start;
-        while i < end {
-            let Some(t) = self.tok(i) else { break };
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                i = self.skip_group(i);
-                continue;
-            }
-            if t.is_punct(",") {
-                if i > seg {
-                    out.push(seg..i);
-                }
-                seg = i + 1;
-            }
-            i += 1;
-        }
-        if end > seg {
-            out.push(seg..end);
-        }
-        out
     }
 
     /// `Method::<Variant>` literal spelled in `range`, or a variable
@@ -355,6 +246,36 @@ impl Pass<'_> {
         }
         out
     }
+}
+
+impl Forward for Pass<'_> {
+    type Env = Env;
+    const ENGINE: &'static str = "protocol";
+
+    /// Unions the state bit-sets; the first consuming line wins.
+    fn join(dst: &mut Env, src: &Env) -> bool {
+        let mut changed = false;
+        for (name, fact) in src {
+            match dst.get_mut(name) {
+                Some(d) => {
+                    let merged = d.states | fact.states;
+                    if merged != d.states {
+                        d.states = merged;
+                        changed = true;
+                    }
+                    if d.consumed_at == 0 && fact.consumed_at != 0 {
+                        d.consumed_at = fact.consumed_at;
+                        changed = true;
+                    }
+                }
+                None => {
+                    dst.insert(name.clone(), fact.clone());
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
 
     fn transfer(&self, env: &mut Env, sid: usize) {
         // Mirror the method-literal const-prop env inline: it is tiny
@@ -362,7 +283,7 @@ impl Pass<'_> {
         // per-pass inside `scan` via the shared `transfer` order. To
         // keep one source of truth the literal env lives in `Env`
         // under an impossible variable name prefix.
-        for range in self.stmt_ranges(sid) {
+        for range in self.ir.stmts[sid].kind.expr_ranges() {
             for (recv, m, mi) in self.method_calls(&range) {
                 let line = self.tok(mi).map_or(0, |t| t.line);
                 let Some(fact) = env.get_mut(&recv) else {
@@ -417,7 +338,9 @@ impl Pass<'_> {
             }
         }
     }
+}
 
+impl Pass<'_> {
     fn scan(&self, env: &Env, range: &ExprRange, events: &mut Vec<ProtocolEvent>) {
         // Streaming entry on a one-shot config.
         if let Some((ti, args)) = self.session_ctor(range) {
@@ -512,7 +435,7 @@ mod tests {
             .enumerate()
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
-        analyze(&code, "test.rs")
+        analyze(&code, "test.rs").expect("converges")
     }
 
     #[test]
@@ -594,7 +517,7 @@ mod tests {
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
         let seeds = vec![("s".to_string(), "OmpSession".to_string(), 7u32)];
-        let ev = analyze_seeded(&code, "test.rs", &seeds);
+        let ev = analyze_seeded(&code, "test.rs", &seeds).expect("converges");
         assert_eq!(ev.len(), 1, "{ev:?}");
         assert!(matches!(
             &ev[0].kind,
@@ -610,7 +533,9 @@ mod tests {
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
         let seeds = vec![("s".to_string(), "LarSession".to_string(), 3u32)];
-        assert!(analyze_seeded(&code, "test.rs", &seeds).is_empty());
+        assert!(analyze_seeded(&code, "test.rs", &seeds)
+            .expect("converges")
+            .is_empty());
     }
 
     #[test]

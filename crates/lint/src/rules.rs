@@ -14,17 +14,17 @@
 //! built over the *whole* unit set, and only then do rules run. This
 //! is what lets `--diff` restrict which files *emit* diagnostics
 //! without changing what any diagnostic *means* — reachability and
-//! summaries are always computed on the full workspace. The same
-//! split is what the incremental cache ([`crate::cache`]) exploits: a
-//! warm run re-derives the global phase and splices per-file rule
-//! output for files whose content (and dependency closure) is
-//! unchanged.
+//! summaries are always computed on the full workspace.
+//!
+//! Every flow-sensitive engine runs on the one forward solver in
+//! [`crate::cfg`]. A fixpoint that hits its round cap is a
+//! [`NonConvergence`] refusal of the whole run, never a silent cut.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::cfg::{parse_body, StmtKind};
+use crate::cfg::{parse_body, skip_group, NonConvergence, StmtKind};
 use crate::dataflow::{self, EventKind};
-use crate::diag::{Diagnostic, Rule};
+use crate::diag::{Diagnostic, Report, Rule};
 use crate::graph::{fn_key_at, unit_first_item, CallGraph, Unit};
 use crate::lexer::{Token, TokenKind};
 use crate::protocol::{self, ProtocolKind};
@@ -122,55 +122,26 @@ impl FileClass {
 /// S0/S1 audits. `emit` decides which files' diagnostics (and
 /// suppression audits) make it into the report — `--diff` passes a
 /// changed-file filter here; a full run passes `|_| true`.
-pub fn lint_units<F: Fn(&str) -> bool>(units: &[Unit], emit: F) -> crate::diag::Report {
-    lint_units_with(units, emit, None)
-}
-
-/// [`lint_units`] with the incremental-cache hook: when `dirty` is
-/// `Some(set)`, only units whose rel-path is in the set run the
-/// per-file rule passes — the caller (the cache layer) splices the
-/// cached diagnostics and suppression counts for the clean rest. The
-/// global phase (graph, reachability, summaries) always runs over the
-/// full unit set, so dirty units see correct cross-file facts.
-pub fn lint_units_with<F: Fn(&str) -> bool>(
-    units: &[Unit],
-    emit: F,
-    dirty: Option<&BTreeSet<String>>,
-) -> crate::diag::Report {
-    lint_units_inner(units, emit, dirty).0
-}
-
-/// Per-file shape contracts as the cache persists them: rel path →
-/// fn key → required-equal parameter index pairs.
-pub(crate) type ShapeContracts = BTreeMap<String, BTreeMap<String, Vec<(usize, usize)>>>;
-
-/// [`lint_units_with`] plus the per-file shape contracts the summary
-/// fixpoint inferred (rel path → fn key → required-equal parameter
-/// index pairs, non-empty entries only) — the cache layer persists
-/// them per file so the cache document carries the cross-file shape
-/// facts without a second summary computation.
-pub(crate) fn lint_units_inner<F: Fn(&str) -> bool>(
-    units: &[Unit],
-    emit: F,
-    dirty: Option<&BTreeSet<String>>,
-) -> (crate::diag::Report, ShapeContracts) {
-    let is_dirty = |rel: &str| dirty.is_none_or(|d| d.contains(rel));
+///
+/// # Errors
+///
+/// [`NonConvergence`] when any fixpoint hits its round cap: a truncated
+/// analysis makes every finding of the run suspect, so none is reported.
+pub fn lint_units<F: Fn(&str) -> bool>(units: &[Unit], emit: F) -> Result<Report, NonConvergence> {
     let mut raw: Vec<Diagnostic> = Vec::new();
     for unit in units {
-        if is_dirty(&unit.rel) {
-            local_pass(unit, &mut raw);
-        }
+        local_pass(unit, &mut raw);
     }
 
     let graph = CallGraph::build(units);
-    let sums = summary::compute(units, &graph);
+    let sums = summary::compute(units, &graph)?;
     // v5 precision: reachability no longer flows *through* test code —
     // a test helper calling into the library marks its direct callees
     // at most, never the whole closure under them.
     let reach_pub = graph.reach_via(|n| n.is_entry, |n| !n.is_test);
     let reach_front = graph.reach_via(|n| n.is_front, |n| !n.is_test);
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !is_dirty(&units[node.unit].rel) {
+        if node.is_test {
             continue;
         }
         let class = &units[node.unit].class;
@@ -249,59 +220,45 @@ pub(crate) fn lint_units_inner<F: Fn(&str) -> bool>(
         }
     }
 
-    dataflow_pass(units, &graph, &sums, &reach_pub, &mut raw, &is_dirty);
-    protocol_pass(units, &graph, &mut raw, &is_dirty);
-    r14_pass(units, &graph, &sums, &mut raw, &is_dirty);
+    dataflow_pass(units, &graph, &sums, &reach_pub, &mut raw)?;
+    protocol_pass(units, &graph, &mut raw)?;
+    r14_pass(units, &graph, &sums, &mut raw);
 
     let reach_kernel = graph.reach_via(|n| n.is_kernel, |n| !n.is_test);
-    crate::perf::perf_pass(units, &graph, &sums, &reach_kernel, &mut raw, &is_dirty);
-    shape_pass(units, &graph, &sums, &reach_kernel, &mut raw, &is_dirty);
+    crate::perf::perf_pass(units, &graph, &sums, &reach_kernel, &mut raw);
+    shape_pass(units, &graph, &sums, &reach_kernel, &mut raw)?;
 
-    let mut report = crate::diag::Report {
+    let mut report = Report {
         files_scanned: units.len(),
         ..Default::default()
     };
-    for unit in units {
-        if !is_dirty(&unit.rel) {
-            continue; // the cache layer splices this unit's output
-        }
+    for unit in units.iter().filter(|u| emit(&u.rel)) {
         let mut suppressions = SuppressionSet::collect(&unit.tokens);
         let mut file_diags: Vec<Diagnostic> =
             raw.iter().filter(|d| d.file == unit.rel).cloned().collect();
         file_diags.retain(|d| !suppressions.matches(d.rule, d.line));
         suppressions.audit(&unit.rel, &mut file_diags);
-        report
-            .suppressions_by_file
-            .insert(unit.rel.clone(), suppressions.used_count());
-        if emit(&unit.rel) {
-            report.suppressions_used += suppressions.used_count();
-            report.diagnostics.extend(file_diags);
-        }
+        report.suppressions_used += suppressions.used_count();
+        report.diagnostics.extend(file_diags);
     }
     report.sort();
-
-    let mut contracts: BTreeMap<String, BTreeMap<String, Vec<(usize, usize)>>> = BTreeMap::new();
-    for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.module_scope || node.is_test || sums[ni].shape_pairs.is_empty() {
-            continue;
-        }
-        contracts
-            .entry(units[node.unit].rel.clone())
-            .or_default()
-            .insert(
-                node.key.clone(),
-                sums[ni].shape_pairs.iter().copied().collect(),
-            );
-    }
-    (report, contracts)
+    Ok(report)
 }
 
 /// Lints one file's source text in isolation (single-unit graph).
 /// `file` is the label used in diagnostics (workspace-relative path).
-pub fn lint_source(file: &str, src: &str, class: &FileClass) -> (Vec<Diagnostic>, usize) {
+///
+/// # Errors
+///
+/// [`NonConvergence`] as for [`lint_units`].
+pub fn lint_source(
+    file: &str,
+    src: &str,
+    class: &FileClass,
+) -> Result<(Vec<Diagnostic>, usize), NonConvergence> {
     let unit = Unit::new(file.to_string(), src, class.clone());
-    let report = lint_units(std::slice::from_ref(&unit), |_| true);
-    (report.diagnostics, report.suppressions_used)
+    let report = lint_units(std::slice::from_ref(&unit), |_| true)?;
+    Ok((report.diagnostics, report.suppressions_used))
 }
 
 /// The shape rules: R16 (unproven `.zip()` lockstep in the kernel
@@ -318,8 +275,7 @@ fn shape_pass(
     sums: &[FnSummary],
     reach_kernel: &[crate::graph::Reach],
     raw: &mut Vec<Diagnostic>,
-    is_dirty: &dyn Fn(&str) -> bool,
-) {
+) -> Result<(), NonConvergence> {
     use crate::shape::{self, ShapeEventKind};
     let first = unit_first_item(units);
     let mut seen: BTreeSet<(String, u32, Rule)> = BTreeSet::new();
@@ -327,7 +283,6 @@ fn shape_pass(
         let class = &unit.class;
         if class.is_test_file
             || !(class.is_lib_crate() || class.crate_name.as_deref() == Some("cli"))
-            || !is_dirty(&unit.rel)
         {
             continue;
         }
@@ -341,8 +296,9 @@ fn shape_pass(
             let code = dataflow::body_code(&unit.tokens, body);
             let params = summary::param_names(unit, item);
             let effects = summary::callee_effects(graph, sums, ni);
-            for event in shape::analyze(&code, &unit.rel, &node.name, item.line, &params, &effects)
-            {
+            let events = shape::analyze(&code, &unit.rel, &node.name, item.line, &params, &effects)
+                .map_err(|e| e.in_fn(&node.key))?;
+            for event in events {
                 let (rule, message) = match &event.kind {
                     ShapeEventKind::ZipUnproven { left, right } => {
                         if !(class.is_lib_crate() && reach_kernel[ni].yes()) {
@@ -414,6 +370,7 @@ fn shape_pass(
             }
         }
     }
+    Ok(())
 }
 
 /// The dataflow rules: R7 (non-associative parallel reduction), R8
@@ -432,15 +389,13 @@ fn dataflow_pass(
     sums: &[FnSummary],
     reach_pub: &[crate::graph::Reach],
     raw: &mut Vec<Diagnostic>,
-    is_dirty: &dyn Fn(&str) -> bool,
-) {
+) -> Result<(), NonConvergence> {
     let first = unit_first_item(units);
     let mut seen: BTreeSet<(String, u32, Rule)> = BTreeSet::new();
     for (ui, unit) in units.iter().enumerate() {
         let class = &unit.class;
         if class.is_test_file
             || !(class.is_lib_crate() || class.crate_name.as_deref() == Some("cli"))
-            || !is_dirty(&unit.rel)
         {
             continue;
         }
@@ -456,7 +411,9 @@ fn dataflow_pass(
             let code = dataflow::body_code(&unit.tokens, body);
             let params = summary::param_names(unit, item);
             let effects = summary::callee_effects(graph, sums, ni);
-            for event in dataflow::analyze_with(&code, &unit.rel, &params, &effects).events {
+            let facts = dataflow::analyze_with(&code, &unit.rel, &params, &effects)
+                .map_err(|e| e.in_fn(&node.key))?;
+            for event in facts.events {
                 let (rule, message) = match &event.kind {
                     EventKind::CrossingWrite { entry, target, op } => (
                         Rule::R7,
@@ -564,6 +521,7 @@ fn dataflow_pass(
             }
         }
     }
+    Ok(())
 }
 
 /// R13: the session-protocol typestate pass ([`crate::protocol`]).
@@ -574,14 +532,12 @@ fn protocol_pass(
     units: &[Unit],
     graph: &CallGraph,
     raw: &mut Vec<Diagnostic>,
-    is_dirty: &dyn Fn(&str) -> bool,
-) {
+) -> Result<(), NonConvergence> {
     let first = unit_first_item(units);
     for (ui, unit) in units.iter().enumerate() {
         let class = &unit.class;
         if class.is_test_file
             || !(class.is_lib_crate() || class.crate_name.as_deref() == Some("cli"))
-            || !is_dirty(&unit.rel)
         {
             continue;
         }
@@ -596,7 +552,9 @@ fn protocol_pass(
                 .into_iter()
                 .map(|(name, ty)| (name, ty, item.line))
                 .collect();
-            for event in protocol::analyze_seeded(&code, &unit.rel, &seeds) {
+            let events = protocol::analyze_seeded(&code, &unit.rel, &seeds)
+                .map_err(|e| e.in_fn(&node.key))?;
+            for event in events {
                 let message = match &event.kind {
                     ProtocolKind::StreamingConfig { method } => format!(
                         "`MethodSession::new(Method::{method}, ..)` builds a streaming \
@@ -627,6 +585,7 @@ fn protocol_pass(
             }
         }
     }
+    Ok(())
 }
 
 /// R14: discarded `Result` in library crates — the error-swallowing
@@ -635,18 +594,12 @@ fn protocol_pass(
 /// unresolved names (std, macros) are never flagged. Three shapes
 /// fire: `let _ = f(..);` (binder-less let), a `;`-dropped call
 /// statement, and `.ok()` without using the value.
-fn r14_pass(
-    units: &[Unit],
-    graph: &CallGraph,
-    sums: &[FnSummary],
-    raw: &mut Vec<Diagnostic>,
-    is_dirty: &dyn Fn(&str) -> bool,
-) {
+fn r14_pass(units: &[Unit], graph: &CallGraph, sums: &[FnSummary], raw: &mut Vec<Diagnostic>) {
     let first = unit_first_item(units);
     let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
     for (ui, unit) in units.iter().enumerate() {
         let class = &unit.class;
-        if class.is_test_file || !class.is_lib_crate() || !is_dirty(&unit.rel) {
+        if class.is_test_file || !class.is_lib_crate() {
             continue;
         }
         for (oi, item) in unit.items.iter().enumerate() {
@@ -755,30 +708,7 @@ fn expr_is_plain_call_chain(code: &[(usize, &Token)], range: &std::ops::Range<us
     while i < range.end {
         let Some(t) = tok(i) else { break };
         if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            // skip balanced group
-            let open = match &t.kind {
-                TokenKind::Punct(p) => p.clone(),
-                _ => unreachable!(),
-            };
-            let close = match open.as_str() {
-                "(" => ")",
-                "[" => "]",
-                _ => "}",
-            };
-            let mut depth = 0usize;
-            while i < range.end {
-                let Some(t) = tok(i) else { break };
-                if t.is_punct(&open) {
-                    depth += 1;
-                } else if t.is_punct(close) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                i += 1;
-            }
-            i += 1;
+            i = skip_group(code, i);
             continue;
         }
         if t.is_punct("=") || t.is_punct("?") || t.is_punct("!") {
@@ -801,21 +731,7 @@ fn top_level_calls(code: &[(usize, &Token)], range: &std::ops::Range<usize>) -> 
             if tok(i + 1).is_some_and(|n| n.is_punct("(")) {
                 out.push((id.to_string(), t.line));
                 // Skip the argument group so nested calls stay nested.
-                let mut depth = 0usize;
-                let mut j = i + 1;
-                while j < range.end {
-                    let Some(t) = tok(j) else { break };
-                    if t.is_punct("(") {
-                        depth += 1;
-                    } else if t.is_punct(")") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                i = j + 1;
+                i = skip_group(code, i + 1);
                 continue;
             }
         }
@@ -996,7 +912,9 @@ mod tests {
     use super::*;
 
     fn lint_lib(src: &str) -> Vec<Diagnostic> {
-        lint_source("test.rs", src, &FileClass::lib_context()).0
+        lint_source("test.rs", src, &FileClass::lib_context())
+            .expect("converges")
+            .0
     }
 
     fn rules_of(ds: &[Diagnostic]) -> Vec<Rule> {
@@ -1025,11 +943,11 @@ mod tests {
     fn r2_exempts_the_tolerance_module() {
         let src = "pub fn exactly_zero(x: f64) -> bool { x == 0.0 }\n";
         let class = FileClass::from_path(TOL_MODULE);
-        let (ds, _) = lint_source(TOL_MODULE, src, &class);
+        let (ds, _) = lint_source(TOL_MODULE, src, &class).expect("converges");
         assert!(ds.is_empty(), "{ds:?}");
         // Every other linalg file is still checked.
         let other = "crates/linalg/src/dense.rs";
-        let (ds, _) = lint_source(other, src, &FileClass::from_path(other));
+        let (ds, _) = lint_source(other, src, &FileClass::from_path(other)).expect("converges");
         assert_eq!(rules_of(&ds), vec![Rule::R2]);
     }
 
@@ -1063,7 +981,8 @@ mod tests {
             "t.rs",
             "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }",
             &class,
-        );
+        )
+        .expect("converges");
         assert!(ds.is_empty());
     }
 
@@ -1095,7 +1014,8 @@ mod tests {
         // thread::spawn is fine; bench crates are exempt.
         assert!(lint_lib("pub fn f() { std::thread::spawn(|| {}); }\n").is_empty());
         let class = FileClass::from_path("crates/bench/src/lib.rs");
-        let (ds, _) = lint_source("t.rs", "pub fn f() { std::env::var(\"X\"); }", &class);
+        let (ds, _) =
+            lint_source("t.rs", "pub fn f() { std::env::var(\"X\"); }", &class).expect("converges");
         assert!(ds.is_empty());
     }
 
@@ -1111,10 +1031,10 @@ mod tests {
         assert_eq!(rules_of(&lint_lib(&other)), vec![Rule::R4]);
         // In workspace mode only crates/runtime may host the shim.
         let class = FileClass::from_path("crates/core/src/lib.rs");
-        let (ds, _) = lint_source("crates/core/src/lib.rs", shim, &class);
+        let (ds, _) = lint_source("crates/core/src/lib.rs", shim, &class).expect("converges");
         assert_eq!(rules_of(&ds), vec![Rule::R4]);
         let class = FileClass::from_path("crates/runtime/src/lib.rs");
-        let (ds, _) = lint_source("crates/runtime/src/lib.rs", shim, &class);
+        let (ds, _) = lint_source("crates/runtime/src/lib.rs", shim, &class).expect("converges");
         assert!(ds.is_empty(), "{ds:?}");
     }
 
@@ -1152,7 +1072,8 @@ mod tests {
             "t.rs",
             "pub fn fit(dict: &D, inputs: &M) { dict.design_matrix(inputs); }",
             &class,
-        );
+        )
+        .expect("converges");
         assert_eq!(rules_of(&ds), vec![Rule::R6]);
         // Bench tables may go dense freely.
         let class = FileClass::from_path("crates/bench/src/lib.rs");
@@ -1160,13 +1081,14 @@ mod tests {
             "t.rs",
             "pub fn fit(dict: &D, inputs: &M) { dict.design_matrix(inputs); }",
             &class,
-        );
+        )
+        .expect("converges");
         assert!(ds.is_empty());
         // A reasoned allow silences it.
         let src = "pub fn cross_validate(dict: &D, inputs: &M) {\n    \
                    // rsm-lint: allow(R6) — tiny M, dense is fine here\n    \
                    dict.design_matrix(inputs);\n}\n";
-        let (ds, used) = lint_source("t.rs", src, &FileClass::lib_context());
+        let (ds, used) = lint_source("t.rs", src, &FileClass::lib_context()).expect("converges");
         assert!(ds.is_empty(), "{ds:?}");
         assert_eq!(used, 1);
     }
@@ -1194,16 +1116,16 @@ mod tests {
     fn suppression_silences_and_is_audited() {
         let src = "pub fn f(x: Option<u8>) -> u8 {\n    \
                    // rsm-lint: allow(R3) — demo justification\n    x.unwrap()\n}\n";
-        let (ds, used) = lint_source("t.rs", src, &FileClass::lib_context());
+        let (ds, used) = lint_source("t.rs", src, &FileClass::lib_context()).expect("converges");
         assert!(ds.is_empty(), "{ds:?}");
         assert_eq!(used, 1);
         // Same-line suppression.
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // rsm-lint: allow(R3) — demo\n";
-        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context());
+        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context()).expect("converges");
         assert!(ds.is_empty(), "{ds:?}");
         // Unreasoned suppression: S0 and the original R3 both fire.
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // rsm-lint: allow(R3)\n";
-        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context());
+        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context()).expect("converges");
         let mut rs = rules_of(&ds);
         rs.sort();
         assert_eq!(rs, vec![Rule::R3, Rule::S0]);
@@ -1212,7 +1134,7 @@ mod tests {
         // now-unreachable site *must* be deleted.
         let src = "// rsm-lint: allow(R3) — was needed under v1\n\
                    fn orphan(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context());
+        let (ds, _) = lint_source("t.rs", src, &FileClass::lib_context()).expect("converges");
         assert_eq!(rules_of(&ds), vec![Rule::S1]);
     }
 
@@ -1224,7 +1146,8 @@ mod tests {
             "t.rs",
             "use std::collections::HashMap;\nfn f() { unsafe {} }\n",
             &class,
-        );
+        )
+        .expect("converges");
         assert_eq!(rules_of(&ds), vec![Rule::R5]);
     }
 
@@ -1241,12 +1164,12 @@ mod tests {
                 "pub(crate) fn l2() { let x: Option<u8> = None; x.unwrap(); }\n",
             ),
         ];
-        let report = lint_units(&units, |_| true);
+        let report = lint_units(&units, |_| true).expect("converges");
         assert_eq!(rules_of(&report.diagnostics), vec![Rule::R3]);
         assert_eq!(report.diagnostics[0].file, "crates/linalg/src/norms.rs");
         assert_eq!(report.diagnostics[0].chain.len(), 2);
         // Emission filter: same analysis, but only solver.rs may emit.
-        let report = lint_units(&units, |rel| rel.ends_with("solver.rs"));
+        let report = lint_units(&units, |rel| rel.ends_with("solver.rs")).expect("converges");
         assert!(report.diagnostics.is_empty());
         assert_eq!(report.files_scanned, 2, "the whole set is still parsed");
     }

@@ -43,7 +43,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{parse_body, pattern_binders, BlockId, BodyIr, Cfg, ExprRange, StmtId, StmtKind};
+use crate::cfg::{
+    parse_body, pattern_binders, solve, BlockId, BodyIr, Cfg, ExprRange, Forward, NonConvergence,
+    StmtId, StmtKind,
+};
 use crate::dataflow::CalleeEffect;
 use crate::lexer::{Token, TokenKind};
 
@@ -213,41 +216,6 @@ pub struct ShapeEnv {
     pub gens: BTreeMap<String, u32>,
 }
 
-/// Joins `src` into `dst` pointwise; returns whether `dst` changed.
-/// Terms join flat (disagreement → `Top`), the first non-empty trace
-/// wins, generations take the max. Variables missing on one side are
-/// unioned in — see the module docs for why that is acceptable.
-fn join_env(dst: &mut ShapeEnv, src: &ShapeEnv) -> bool {
-    let mut changed = false;
-    for (k, f) in &src.vars {
-        match dst.vars.get_mut(k) {
-            None => {
-                dst.vars.insert(k.clone(), f.clone());
-                changed = true;
-            }
-            Some(d) => {
-                let joined = d.term.join(&f.term);
-                if joined != d.term {
-                    d.term = joined;
-                    changed = true;
-                }
-                if d.trace.is_empty() && !f.trace.is_empty() {
-                    d.trace = f.trace.clone();
-                    changed = true;
-                }
-            }
-        }
-    }
-    for (k, &g) in &src.gens {
-        let cur = dst.gens.get(k).copied().unwrap_or(0);
-        if g > cur {
-            dst.gens.insert(k.clone(), g);
-            changed = true;
-        }
-    }
-    changed
-}
-
 /// What a shape sink saw.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShapeEventKind {
@@ -375,6 +343,10 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 /// parameter names in declaration order (receiver included), `effects`
 /// the per-unit callee-effect map carrying inferred shape contracts.
 /// Returns line-sorted sink events.
+///
+/// # Errors
+///
+/// [`NonConvergence`] if the fixpoint hits the round cap.
 pub fn analyze(
     code: &[(usize, &Token)],
     file: &str,
@@ -382,7 +354,7 @@ pub fn analyze(
     fn_line: u32,
     params: &[String],
     effects: &BTreeMap<String, CalleeEffect>,
-) -> Vec<ShapeEvent> {
+) -> Result<Vec<ShapeEvent>, NonConvergence> {
     let ir = parse_body(code);
     let cfg = Cfg::build(&ir);
     let a = Analysis {
@@ -411,48 +383,14 @@ pub fn analyze(
         );
     }
 
-    // Forward fixpoint over block in-states. The lattice is flat per
-    // variable and generation stamps are fixed per statement, so this
-    // stabilizes; the round cap is a defensive backstop.
-    let mut envs: Vec<ShapeEnv> = vec![ShapeEnv::default(); cfg.blocks.len()];
-    envs[cfg.entry] = seed;
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds < 64 {
-        changed = false;
-        rounds += 1;
-        for b in cfg.block_order() {
-            let mut env = envs[b].clone();
-            for &sid in &cfg.blocks[b].stmts.clone() {
-                a.transfer(&mut env, sid);
-            }
-            let (then_env, fall_env) = a.branch_envs(&env, &cfg.blocks[b].stmts);
-            for (si, &s) in cfg.blocks[b].succs.clone().iter().enumerate() {
-                let src = if si == 0 {
-                    then_env.as_ref().unwrap_or(&env)
-                } else {
-                    fall_env.as_ref().unwrap_or(&env)
-                };
-                let mut out = std::mem::take(&mut envs[s]);
-                changed |= join_env(&mut out, src);
-                envs[s] = out;
-            }
-        }
-    }
-
-    // Sink scan: re-walk each block from its stable in-state, scanning
-    // every statement's expression ranges *before* its transfer (uses
-    // see the facts that reach them).
+    // The lattice is flat per variable and generation stamps are fixed
+    // per statement, so the fixpoint settles well inside the round cap.
     let mut events = Vec::new();
-    for b in cfg.block_order() {
-        let mut env = envs[b].clone();
-        for &sid in &cfg.blocks[b].stmts {
-            a.scan_stmt(&env, sid, &mut events);
-            a.transfer(&mut env, sid);
-        }
-    }
+    solve(&a, &cfg, seed, |env, sid| {
+        a.scan_stmt(env, sid, &mut events)
+    })?;
     events.sort_by_key(|e| e.line);
-    events
+    Ok(events)
 }
 
 /// Infers the function's **shape contract**: parameter index pairs
@@ -691,6 +629,185 @@ struct Analysis<'a> {
     file: &'a str,
     ir: &'a BodyIr,
     effects: &'a BTreeMap<String, CalleeEffect>,
+}
+
+impl Forward for Analysis<'_> {
+    type Env = ShapeEnv;
+    const ENGINE: &'static str = "shape";
+
+    fn transfer(&self, env: &mut ShapeEnv, sid: StmtId) {
+        let stmt = &self.ir.stmts[sid];
+        let line = stmt.line;
+        match &stmt.kind {
+            StmtKind::Let { names, init } => match (names.len(), init) {
+                (1, Some(init)) => {
+                    let name = names[0].clone();
+                    let term = self.eval_any(env, init.clone());
+                    let frame = format!(
+                        "`{name}` = {} ({}:{line})",
+                        self.snippet(init.clone()),
+                        self.file
+                    );
+                    if term == LenTerm::Top {
+                        self.bind_fresh(env, &name, frame, sid);
+                    } else {
+                        self.bind(env, &name, term, frame, sid);
+                    }
+                }
+                (2, Some(init)) if self.split_at_parts(init.clone()).is_some() => {
+                    let (seq, n_r) = self.split_at_parts(init.clone()).unwrap();
+                    let n_t = self.eval_int(env, n_r);
+                    let total = self.eval_len(env, seq);
+                    let rest = sub(&total, &n_t);
+                    let frame = |nm: &str| {
+                        format!(
+                            "`{nm}` = {} ({}:{line})",
+                            self.snippet(init.clone()),
+                            self.file
+                        )
+                    };
+                    if n_t == LenTerm::Top {
+                        self.bind_fresh(env, &names[0].clone(), frame(&names[0]), sid);
+                    } else {
+                        self.bind(env, &names[0].clone(), n_t, frame(&names[0]), sid);
+                    }
+                    match rest {
+                        Some(t) => self.bind(env, &names[1].clone(), t, frame(&names[1]), sid),
+                        None => self.bind_fresh(env, &names[1].clone(), frame(&names[1]), sid),
+                    }
+                }
+                _ => {
+                    for n in names.clone() {
+                        self.kill(env, &n, sid);
+                    }
+                }
+            },
+            StmtKind::Const { name, init } => {
+                let name = name.clone();
+                let term = self.eval_any(env, init.clone());
+                let frame = format!(
+                    "`{name}` = {} ({}:{line})",
+                    self.snippet(init.clone()),
+                    self.file
+                );
+                if term == LenTerm::Top {
+                    self.bind_fresh(env, &name, frame, sid);
+                } else {
+                    self.bind(env, &name, term, frame, sid);
+                }
+            }
+            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => {
+                if self.tok(cond.start).and_then(Token::ident) == Some("let") {
+                    // if-let / while-let: the pattern binders shadow.
+                    if let Some((pat, _)) = self.s().split_binop(cond.clone(), "=") {
+                        for n in pattern_binders(self.code, pat.start + 1..pat.end) {
+                            self.kill(env, &n, sid);
+                        }
+                    }
+                }
+                self.mutation_scan(env, cond.clone(), sid);
+            }
+            StmtKind::Loop { .. } | StmtKind::BlockStmt { .. } => {}
+            StmtKind::For { names, iter, .. } => {
+                self.mutation_scan(env, iter.clone(), sid);
+                if names.len() == 1 {
+                    let frame = format!(
+                        "`{}` iterates {} ({}:{line})",
+                        names[0],
+                        self.snippet(iter.clone()),
+                        self.file
+                    );
+                    self.bind_fresh(env, &names[0].clone(), frame, sid);
+                } else {
+                    for n in names.clone() {
+                        self.kill(env, &n, sid);
+                    }
+                }
+            }
+            StmtKind::Match { scrutinee, arms } => {
+                self.mutation_scan(env, scrutinee.clone(), sid);
+                let binders: Vec<String> =
+                    arms.iter().flat_map(|a| a.names.iter().cloned()).collect();
+                for n in binders {
+                    self.kill(env, &n, sid);
+                }
+            }
+            StmtKind::Expr { range } => self.expr_transfer(env, range.clone(), sid, line),
+        }
+    }
+
+    /// Terms join flat (disagreement → `Top`), the first non-empty trace
+    /// wins, generations take the max. Variables missing on one side are
+    /// unioned in — see the module docs for why that is acceptable.
+    fn join(dst: &mut ShapeEnv, src: &ShapeEnv) -> bool {
+        let mut changed = false;
+        for (k, f) in &src.vars {
+            match dst.vars.get_mut(k) {
+                None => {
+                    dst.vars.insert(k.clone(), f.clone());
+                    changed = true;
+                }
+                Some(d) => {
+                    let joined = d.term.join(&f.term);
+                    if joined != d.term {
+                        d.term = joined;
+                        changed = true;
+                    }
+                    if d.trace.is_empty() && !f.trace.is_empty() {
+                        d.trace = f.trace.clone();
+                        changed = true;
+                    }
+                }
+            }
+        }
+        for (k, &g) in &src.gens {
+            let cur = dst.gens.get(k).copied().unwrap_or(0);
+            if g > cur {
+                dst.gens.insert(k.clone(), g);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Edge-sensitive refinement from a block-terminating guard.
+    /// Returns (then-edge env, fallthrough env); `None` means "use the
+    /// unrefined block-exit env".
+    ///
+    /// `a == b` guards refine only the then edge (succs[0]). `a != b`
+    /// guards whose then-block diverges (return / panic) refine *all*
+    /// edges — refining only the fallthrough would be destroyed when
+    /// the unrefined then-branch env merges back at the join block,
+    /// and polluting a returning branch is harmless.
+    fn edge_envs(&self, env: &ShapeEnv, stmts: &[StmtId]) -> (Option<ShapeEnv>, Option<ShapeEnv>) {
+        let Some(&last) = stmts.last() else {
+            return (None, None);
+        };
+        let stmt = &self.ir.stmts[last];
+        let (cond, then_block, line) = match &stmt.kind {
+            StmtKind::If {
+                cond, then_block, ..
+            } => (cond.clone(), Some(*then_block), stmt.line),
+            StmtKind::While { cond, .. } => (cond.clone(), None, stmt.line),
+            _ => return (None, None),
+        };
+        if self.tok(cond.start).and_then(Token::ident) == Some("let") {
+            return (None, None);
+        }
+        if let Some((l, r)) = self.s().split_binop(cond.clone(), "==") {
+            let mut e = env.clone();
+            self.unify(&mut e, l, r, line);
+            return (Some(e), None);
+        }
+        if let Some((l, r)) = self.s().split_binop(cond.clone(), "!=") {
+            if then_block.map(|b| self.diverges(b)).unwrap_or(false) {
+                let mut e = env.clone();
+                self.unify(&mut e, l, r, line);
+                return (Some(e.clone()), Some(e));
+            }
+        }
+        (None, None)
+    }
 }
 
 impl Analysis<'_> {
@@ -1150,107 +1267,6 @@ impl Analysis<'_> {
         env.vars.remove(name);
     }
 
-    fn transfer(&self, env: &mut ShapeEnv, sid: StmtId) {
-        let stmt = &self.ir.stmts[sid];
-        let line = stmt.line;
-        match &stmt.kind {
-            StmtKind::Let { names, init } => match (names.len(), init) {
-                (1, Some(init)) => {
-                    let name = names[0].clone();
-                    let term = self.eval_any(env, init.clone());
-                    let frame = format!(
-                        "`{name}` = {} ({}:{line})",
-                        self.snippet(init.clone()),
-                        self.file
-                    );
-                    if term == LenTerm::Top {
-                        self.bind_fresh(env, &name, frame, sid);
-                    } else {
-                        self.bind(env, &name, term, frame, sid);
-                    }
-                }
-                (2, Some(init)) if self.split_at_parts(init.clone()).is_some() => {
-                    let (seq, n_r) = self.split_at_parts(init.clone()).unwrap();
-                    let n_t = self.eval_int(env, n_r);
-                    let total = self.eval_len(env, seq);
-                    let rest = sub(&total, &n_t);
-                    let frame = |nm: &str| {
-                        format!(
-                            "`{nm}` = {} ({}:{line})",
-                            self.snippet(init.clone()),
-                            self.file
-                        )
-                    };
-                    if n_t == LenTerm::Top {
-                        self.bind_fresh(env, &names[0].clone(), frame(&names[0]), sid);
-                    } else {
-                        self.bind(env, &names[0].clone(), n_t, frame(&names[0]), sid);
-                    }
-                    match rest {
-                        Some(t) => self.bind(env, &names[1].clone(), t, frame(&names[1]), sid),
-                        None => self.bind_fresh(env, &names[1].clone(), frame(&names[1]), sid),
-                    }
-                }
-                _ => {
-                    for n in names.clone() {
-                        self.kill(env, &n, sid);
-                    }
-                }
-            },
-            StmtKind::Const { name, init } => {
-                let name = name.clone();
-                let term = self.eval_any(env, init.clone());
-                let frame = format!(
-                    "`{name}` = {} ({}:{line})",
-                    self.snippet(init.clone()),
-                    self.file
-                );
-                if term == LenTerm::Top {
-                    self.bind_fresh(env, &name, frame, sid);
-                } else {
-                    self.bind(env, &name, term, frame, sid);
-                }
-            }
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => {
-                if self.tok(cond.start).and_then(Token::ident) == Some("let") {
-                    // if-let / while-let: the pattern binders shadow.
-                    if let Some((pat, _)) = self.s().split_binop(cond.clone(), "=") {
-                        for n in pattern_binders(self.code, pat.start + 1..pat.end) {
-                            self.kill(env, &n, sid);
-                        }
-                    }
-                }
-                self.mutation_scan(env, cond.clone(), sid);
-            }
-            StmtKind::Loop { .. } | StmtKind::BlockStmt { .. } => {}
-            StmtKind::For { names, iter, .. } => {
-                self.mutation_scan(env, iter.clone(), sid);
-                if names.len() == 1 {
-                    let frame = format!(
-                        "`{}` iterates {} ({}:{line})",
-                        names[0],
-                        self.snippet(iter.clone()),
-                        self.file
-                    );
-                    self.bind_fresh(env, &names[0].clone(), frame, sid);
-                } else {
-                    for n in names.clone() {
-                        self.kill(env, &n, sid);
-                    }
-                }
-            }
-            StmtKind::Match { scrutinee, arms } => {
-                self.mutation_scan(env, scrutinee.clone(), sid);
-                let binders: Vec<String> =
-                    arms.iter().flat_map(|a| a.names.iter().cloned()).collect();
-                for n in binders {
-                    self.kill(env, &n, sid);
-                }
-            }
-            StmtKind::Expr { range } => self.expr_transfer(env, range.clone(), sid, line),
-        }
-    }
-
     /// `<seq>.split_at(<n>)` / `split_at_mut` → (seq range, n range).
     fn split_at_parts(&self, r: ExprRange) -> Option<(ExprRange, ExprRange)> {
         let r = self.s().trim(r);
@@ -1696,49 +1712,6 @@ impl Analysis<'_> {
         false
     }
 
-    /// Edge-sensitive refinement from a block-terminating guard.
-    /// Returns (then-edge env, fallthrough env); `None` means "use the
-    /// unrefined block-exit env".
-    ///
-    /// `a == b` guards refine only the then edge (succs[0]). `a != b`
-    /// guards whose then-block diverges (return / panic) refine *all*
-    /// edges — refining only the fallthrough would be destroyed when
-    /// the unrefined then-branch env merges back at the join block,
-    /// and polluting a returning branch is harmless.
-    fn branch_envs(
-        &self,
-        env: &ShapeEnv,
-        stmts: &[StmtId],
-    ) -> (Option<ShapeEnv>, Option<ShapeEnv>) {
-        let Some(&last) = stmts.last() else {
-            return (None, None);
-        };
-        let stmt = &self.ir.stmts[last];
-        let (cond, then_block, line) = match &stmt.kind {
-            StmtKind::If {
-                cond, then_block, ..
-            } => (cond.clone(), Some(*then_block), stmt.line),
-            StmtKind::While { cond, .. } => (cond.clone(), None, stmt.line),
-            _ => return (None, None),
-        };
-        if self.tok(cond.start).and_then(Token::ident) == Some("let") {
-            return (None, None);
-        }
-        if let Some((l, r)) = self.s().split_binop(cond.clone(), "==") {
-            let mut e = env.clone();
-            self.unify(&mut e, l, r, line);
-            return (Some(e), None);
-        }
-        if let Some((l, r)) = self.s().split_binop(cond.clone(), "!=") {
-            if then_block.map(|b| self.diverges(b)).unwrap_or(false) {
-                let mut e = env.clone();
-                self.unify(&mut e, l, r, line);
-                return (Some(e.clone()), Some(e));
-            }
-        }
-        (None, None)
-    }
-
     /// True when a block's last statement unconditionally exits:
     /// `return ...` or a panicking macro.
     fn diverges(&self, block: BlockId) -> bool {
@@ -1761,30 +1734,12 @@ impl Analysis<'_> {
     /// Walks every expression position of a statement for sinks.
     fn scan_stmt(&self, env: &ShapeEnv, sid: StmtId, events: &mut Vec<ShapeEvent>) {
         let stmt = &self.ir.stmts[sid];
-        let line = stmt.line;
-        let mut ranges: Vec<ExprRange> = Vec::new();
-        match &stmt.kind {
-            StmtKind::Let { init, .. } => {
-                if let Some(init) = init {
-                    ranges.push(init.clone());
-                }
-            }
-            StmtKind::Const { init, .. } => ranges.push(init.clone()),
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => ranges.push(cond.clone()),
-            StmtKind::For { iter, .. } => ranges.push(iter.clone()),
-            StmtKind::Match { scrutinee, arms } => {
-                ranges.push(scrutinee.clone());
-                for a in arms {
-                    if let Some(g) = &a.guard {
-                        ranges.push(g.clone());
-                    }
-                }
-            }
-            StmtKind::Expr { range } => ranges.push(range.clone()),
-            StmtKind::Loop { .. } | StmtKind::BlockStmt { .. } => {}
-        }
+        let ranges = match &stmt.kind {
+            StmtKind::Const { init, .. } => vec![init.clone()],
+            kind => kind.expr_ranges(),
+        };
         for r in ranges {
-            self.scan_expr(env, r, line, events);
+            self.scan_expr(env, r, stmt.line, events);
         }
     }
 
@@ -2018,7 +1973,7 @@ mod tests {
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
         let params: Vec<String> = params.iter().map(|s| s.to_string()).collect();
-        analyze(&code, "t.rs", "f", 1, &params, &BTreeMap::new())
+        analyze(&code, "t.rs", "f", 1, &params, &BTreeMap::new()).expect("converges")
     }
 
     fn zips(ev: &[ShapeEvent]) -> usize {
@@ -2271,7 +2226,7 @@ mod tests {
             .enumerate()
             .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment(_)))
             .collect();
-        let ev = analyze(&code, "t.rs", "f", 1, &[], &effects);
+        let ev = analyze(&code, "t.rs", "f", 1, &[], &effects).expect("converges");
         assert_eq!(
             ev.iter()
                 .filter(|e| matches!(e.kind, ShapeEventKind::ContractMismatch { .. }))

@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::pattern_binders;
+use crate::cfg::{pattern_binders, NonConvergence};
 use crate::dataflow::{self, CalleeEffect, Taint};
 use crate::graph::{unit_first_item, CallGraph, Unit};
 use crate::lexer::{Token, TokenKind};
@@ -417,7 +417,12 @@ pub fn callee_effects(
 /// **bottom-up** pass walks [`CallGraph::sccs`] in reverse topological
 /// order joining callee summaries in — iterated to a fixpoint inside
 /// cyclic components, evaluated once for acyclic ones.
-pub fn compute(units: &[Unit], graph: &CallGraph) -> Vec<FnSummary> {
+///
+/// # Errors
+///
+/// [`NonConvergence`] if a body's dataflow fixpoint, or a cyclic
+/// component's summary fixpoint, hits its round cap.
+pub fn compute(units: &[Unit], graph: &CallGraph) -> Result<Vec<FnSummary>, NonConvergence> {
     let first = unit_first_item(units);
     let mut sums = vec![FnSummary::default(); graph.nodes.len()];
     let mut params: Vec<Vec<String>> = vec![Vec::new(); graph.nodes.len()];
@@ -449,10 +454,12 @@ pub fn compute(units: &[Unit], graph: &CallGraph) -> Vec<FnSummary> {
             || comp
                 .iter()
                 .any(|&ni| graph.nodes[ni].calls.iter().any(|c| c.callee == ni));
-        // Monotone joins over a finite lattice: the cap is a guard
-        // rail, the `changed` test is what actually terminates.
-        let rounds = if cyclic { comp.len() * 4 + 4 } else { 1 };
-        for _ in 0..rounds {
+        // Monotone joins over a finite lattice settle well inside the
+        // cap; an acyclic component is exact after one evaluation.
+        let cap = if cyclic { comp.len() * 4 + 4 } else { 1 };
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
             let mut changed = false;
             for &ni in &comp {
                 let node = &graph.nodes[ni];
@@ -475,7 +482,8 @@ pub fn compute(units: &[Unit], graph: &CallGraph) -> Vec<FnSummary> {
                 if let Some(body) = item.body {
                     let effects = callee_effects(graph, &sums, ni);
                     let code = dataflow::body_code(&unit.tokens, body);
-                    let facts = dataflow::analyze_with(&code, &unit.rel, &params[ni], &effects);
+                    let facts = dataflow::analyze_with(&code, &unit.rel, &params[ni], &effects)
+                        .map_err(|e| e.in_fn(&node.key))?;
                     next.taint_out.extend(facts.ret_taints.iter().copied());
                     next.tol_param_compare
                         .extend(facts.tol_params.iter().copied());
@@ -490,12 +498,19 @@ pub fn compute(units: &[Unit], graph: &CallGraph) -> Vec<FnSummary> {
                     changed = true;
                 }
             }
-            if !changed {
+            if !changed || !cyclic {
                 break;
+            }
+            if rounds == cap {
+                return Err(NonConvergence {
+                    engine: "summary",
+                    fn_key: graph.nodes[comp[0]].key.clone(),
+                    rounds,
+                });
             }
         }
     }
-    sums
+    Ok(sums)
 }
 
 #[cfg(test)]
@@ -549,7 +564,7 @@ mod tests {
              pub fn churn(n: usize) { for i in 0..n { let v = vec![0.0; i]; } }\n\
              pub fn lean(n: usize) { let mut v = Vec::new(); for i in 0..n { v.push(i); } }\n",
         );
-        let sums = compute(&units, &graph);
+        let sums = compute(&units, &graph).expect("converges");
         assert!(sums[find(&graph, "read")].returns_result);
         assert!(sums[find(&graph, "fill")].mutates_params);
         assert!(!sums[find(&graph, "fill")].is_pure());
@@ -571,7 +586,7 @@ mod tests {
              pub fn also_panics() { mid(); deep_panic(); }\n\
              fn deep_panic() { panic!(\"boom\"); }\n",
         );
-        let sums = compute(&units, &graph);
+        let sums = compute(&units, &graph).expect("converges");
         assert!(sums[find(&graph, "leaf")].taint_out.contains(&Taint::Sqrt));
         assert!(
             sums[find(&graph, "mid")].taint_out.contains(&Taint::Sqrt),
@@ -592,7 +607,7 @@ mod tests {
              pub fn odd(n: u32) -> f64 { if n == 0 { return root(2.0); } even(n - 1) }\n\
              fn root(x: f64) -> f64 { x.sqrt() }\n",
         );
-        let sums = compute(&units, &graph);
+        let sums = compute(&units, &graph).expect("converges");
         // The sqrt taint enters the cycle through `odd` and must
         // stabilize across both members.
         assert!(sums[find(&graph, "odd")].taint_out.contains(&Taint::Sqrt));
@@ -605,7 +620,7 @@ mod tests {
             "fn converged(r: f64, eps: f64) -> bool { r < eps }\n\
              fn check(res: f64, tol: f64) -> bool { converged(res, tol) }\n",
         );
-        let sums = compute(&units, &graph);
+        let sums = compute(&units, &graph).expect("converges");
         let conv = &sums[find(&graph, "converged")];
         assert_eq!(
             conv.tol_param_compare.iter().copied().collect::<Vec<_>>(),
@@ -624,7 +639,7 @@ mod tests {
             "impl Gate {\n  pub fn passes(&self, r: f64, eps: f64) -> bool { r < eps }\n}\n\
              pub fn caller(g: &Gate, r: f64) -> bool { g.passes(r, 1e-9) }\n",
         );
-        let sums = compute(&units, &graph);
+        let sums = compute(&units, &graph).expect("converges");
         let passes = find(&graph, "passes");
         assert!(sums[passes].has_self);
         assert_eq!(

@@ -28,7 +28,7 @@ fn key(d: &Diagnostic) -> (String, u32, &'static str, String, Vec<String>) {
 fn diff_emission_agrees_with_full_run_per_file() {
     // The whole fixture corpus in one graph, like a workspace run.
     let units = path_units(&[PathBuf::from("tests/fixtures")]).expect("fixtures readable");
-    let full = lint_units(&units, |_| true);
+    let full = lint_units(&units, |_| true).expect("fixpoints converge");
     assert!(
         !full.diagnostics.is_empty(),
         "corpus should produce findings"
@@ -40,7 +40,7 @@ fn diff_emission_agrees_with_full_run_per_file() {
     // unchanged files.
     for unit in &units {
         let target = unit.rel.clone();
-        let narrowed = lint_units(&units, |rel| rel == target);
+        let narrowed = lint_units(&units, |rel| rel == target).expect("fixpoints converge");
         let got: Vec<_> = narrowed.diagnostics.iter().map(key).collect();
         let want: Vec<_> = full
             .diagnostics
@@ -60,7 +60,7 @@ fn diff_emission_keeps_cross_file_chains_intact() {
     // call graph; narrowing to that one file must keep the same chain.
     let units = path_units(&[PathBuf::from("tests/fixtures")]).expect("fixtures readable");
     let target = "tests/fixtures/v2_chain.rs";
-    let narrowed = lint_units(&units, |rel| rel == target);
+    let narrowed = lint_units(&units, |rel| rel == target).expect("fixpoints converge");
     let r3 = narrowed
         .diagnostics
         .iter()

@@ -17,7 +17,7 @@ fn fixture(name: &str) -> PathBuf {
 /// returns the machine-applicable fixes.
 fn fixes_of(src: &str) -> Vec<rsm_lint::diag::Fix> {
     let class = FileClass::lib_context();
-    let (diags, _) = lint_source("crates/linalg/src/vec_ops.rs", src, &class);
+    let (diags, _) = lint_source("crates/linalg/src/vec_ops.rs", src, &class).expect("converges");
     diags.into_iter().filter_map(|d| d.fix).collect()
 }
 
@@ -47,7 +47,8 @@ fn fixed_fixture_still_fires_warn_only_diagnostics() {
     let src = std::fs::read_to_string(fixture("r10_indexed_loop.rs")).unwrap();
     let fixed = apply_edits(&src, &fixes_of(&src)).unwrap();
     let class = FileClass::lib_context();
-    let (diags, _) = lint_source("crates/linalg/src/vec_ops.rs", &fixed, &class);
+    let (diags, _) =
+        lint_source("crates/linalg/src/vec_ops.rs", &fixed, &class).expect("converges");
     let r10s = diags
         .iter()
         .filter(|d| d.rule == rsm_lint::Rule::R10)
