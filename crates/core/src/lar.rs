@@ -16,8 +16,12 @@
 //! algorithm's equal-angle geometry assumes it); reported coefficients
 //! are rescaled back to the caller's dictionary.
 //!
-//! The path loop itself lives in [`crate::session::LarSession`];
-//! [`LarConfig::fit`] is a thin single-batch wrapper over it.
+//! The path depends on the data only through the column norms and the
+//! correlations `Gᵀ·F`, so those are the sweeps a
+//! [`crate::session::SampleDelta`] carries into the session. The path
+//! loop itself lives in [`crate::session::LarSession`];
+//! [`LarConfig::fit`] feeds it one delta over all rows and runs it, the
+//! same operations [`crate::solver::fit`] performs for [`crate::Method::Lar`].
 
 use crate::path::SparsePath;
 use crate::session::{FitSession, LarSession};
@@ -62,7 +66,8 @@ impl LarConfig {
     /// `O(K)` work per active column; scratch is `O(K·|A| + M)`, never
     /// `O(K·M)`. This is a single-batch wrapper over [`LarSession`]:
     /// all samples are fed in one [`FitSession::extend_samples`] call
-    /// and the path is run to completion.
+    /// (one column-norm sweep and one `Gᵀ·F` over `g` itself) and the
+    /// path is run to completion.
     ///
     /// # Errors
     ///

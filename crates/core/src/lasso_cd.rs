@@ -7,6 +7,11 @@
 //! lasso-modified LARS path and coordinate descent must agree — a
 //! strong end-to-end test of the LARS implementation — and it lets
 //! users trade LARS's exact path for warm-started penalty grids.
+//!
+//! The sweep loop lives in [`crate::session::LassoCdSession`], which
+//! ingests rows as [`crate::session::SampleDelta`]s carrying the column
+//! square norms (the coordinate curvatures), refuses a non-finite one,
+//! and rebuilds its residual from the support columns before sweeping.
 
 use crate::model::SparseModel;
 use crate::session::{FitSession, LassoCdSession};
@@ -46,6 +51,8 @@ impl LassoCdConfig {
     /// - [`CoreError::ShapeMismatch`] on operand mismatch;
     /// - [`CoreError::BadConfig`] for a negative penalty or non-finite
     ///   response;
+    /// - [`CoreError::Numerical`] naming an atom whose column square
+    ///   norm is not finite (a non-finite sample);
     /// - [`CoreError::Numerical`] if the sweep cap is exhausted before
     ///   convergence.
     pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {

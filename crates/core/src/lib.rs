@@ -25,9 +25,10 @@
 //!   methods);
 //! - [`select`] — Q-fold cross-validated choice of the model order `λ`
 //!   (Section IV-C, Fig. 2);
-//! - [`session`] — resumable incremental solver sessions: the batch
-//!   `fit` entry points are thin wrappers over these, and the streaming
-//!   driver feeds them sample batches as they arrive;
+//! - [`session`] — resumable incremental solver sessions, fed sample
+//!   batches as [`SampleDelta`] sweep summaries: the batch `fit` entry
+//!   points feed one delta of all rows, the streaming driver one per
+//!   batch as it arrives;
 //! - [`model`] — the sparse model type shared by all solvers;
 //! - [`bundle`] — the persisted model bundle (`rsm fit` output) the
 //!   offline and serving prediction paths both load;
@@ -78,6 +79,7 @@ pub use model::SparseModel;
 pub use path::SparsePath;
 pub use session::{
     FitSession, LarSession, LassoCdSession, MethodSession, OmpSession, SampleDelta, StepOutcome,
+    Sweeps,
 };
 pub use solver::{fit_streaming, FitReport, Method, ModelOrder, StreamConfig, StreamReport};
 

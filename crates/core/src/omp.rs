@@ -15,7 +15,11 @@
 //! not the `O(K·p²)` of re-factoring from scratch.
 //!
 //! The selection loop itself lives in [`crate::session::OmpSession`];
-//! [`OmpConfig::fit`] is a thin single-batch wrapper over it.
+//! [`OmpConfig::fit`] is a thin single-batch wrapper over it. OMP
+//! correlates against its own residual, so the only data sweep its
+//! [`crate::session::SampleDelta`]s carry is the column norms under
+//! [`OmpConfig::normalize_atoms`]; plain OMP ingests rows with no
+//! sweep at all.
 
 use crate::model::SparseModel;
 use crate::path::SparsePath;
@@ -73,6 +77,8 @@ impl OmpConfig {
     ///
     /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.num_rows()`;
     /// - [`CoreError::BadConfig`](crate::CoreError::BadConfig) if `lambda == 0`;
+    /// - [`CoreError::Numerical`](crate::CoreError::Numerical) naming an atom whose correlation
+    ///   is NaN (a non-finite sample);
     /// - [`CoreError::Unsolvable`](crate::CoreError::Unsolvable) if no informative column exists at
     ///   the very first step (e.g. `F = 0` handled gracefully — a
     ///   one-step zero path is returned instead).

@@ -1,50 +1,44 @@
 //! Incremental solver sessions — resumable `FitSession` state objects
 //! for LAR, OMP, and coordinate-descent lasso.
 //!
-//! The batch entry points ([`LarConfig::fit`], [`OmpConfig::fit`],
-//! [`LassoCdConfig::fit_warm`]) are thin wrappers over the types in
-//! this module: they create a session, feed it the whole sample set in
-//! one [`extend_samples`](FitSession::extend_samples) call, and run the
-//! path to completion. The streaming driver
-//! ([`crate::solver::fit_streaming`]) instead feeds sample batches as
-//! they arrive, so fitting overlaps sample production. The
-//! cross-validation engine ([`crate::select`]) keeps one warm
-//! [`MethodSession`] per fold and advances it with `run_to` one `λ` at
-//! a time.
+//! Samples enter a session one way: a [`SampleDelta`] — the `O(M)`
+//! sweep summary of one contiguous row batch — applied by
+//! [`FitSession::apply_delta`]. [`FitSession::extend_samples`] computes
+//! and applies the delta of rows the caller holds, then
+//! [`refresh`](FitSession::refresh)es the path state. The batch entry
+//! points ([`LarConfig::fit`], [`OmpConfig::fit`],
+//! [`LassoCdConfig::fit_warm`]) feed all rows in one such call; the
+//! streaming driver ([`crate::solver::fit_streaming`], of which
+//! [`crate::solver::fit`] is the one-batch case) applies the deltas its
+//! workers produce; the cross-validation engine ([`crate::select`])
+//! advances one warm [`MethodSession`] per fold with `run_to`.
 //!
 //! # What is incremental where
 //!
-//! Every session splits its state into two layers:
-//!
 //! - **Data-sweep accumulators** (column square norms, raw correlations
-//!   `Gᵀ·F`, response norm). These are rank-k updatable: a batch of
-//!   `ΔK` new rows contributes additively in `O(ΔK·M)`, so no full
-//!   re-sweep of the old rows ever happens.
-//! - **Path state** (active set, Cholesky/QR factors, residual,
-//!   snapshots). OMP's invariant — residual orthogonal to the selected
-//!   span — is restorable exactly after new rows arrive (one `O(K·p)`
-//!   refactorization over `p` selected atoms, not a re-selection), so
-//!   [`OmpSession`] *resumes* its greedy selection where it left off.
-//!   LAR's equiangular invariant (all active atoms tie in absolute
-//!   correlation) is a property of the data, not of the iterate, so
-//!   [`LarSession`] restarts its path from step 0 on extension — but
-//!   keeps the accumulated sweeps, and its per-step re-solve stays
-//!   `O(p²)` thanks to the persistent [`GrowingCholesky`] with
-//!   [`drop_column`](GrowingCholesky::drop_column) downdates on lasso
-//!   drops (previously an `O(p³)` rebuild).
+//!   `Gᵀ·F`; only those a session reads, [`FitSession::sweeps`]) are
+//!   rank-k updatable: `ΔK` new rows add in `O(ΔK·M)`, with no re-sweep
+//!   of the old rows.
+//! - **Path state** (active set, factors, residual, snapshots, `‖F‖₂`)
+//!   is rebuilt from the full `g`/`f` after new rows. OMP's invariant —
+//!   residual orthogonal to the selected span — is restorable exactly
+//!   (one `O(K·p)` refactorization, not a re-selection), so
+//!   [`OmpSession`] *resumes* its selection; [`LassoCdSession`] rebuilds
+//!   its residual and keeps its iterate as a warm start. LAR's
+//!   equiangular invariant is a property of the data, not of the
+//!   iterate, so [`LarSession`] restarts its path from step 0 but keeps
+//!   the sweeps; its per-step re-solve stays `O(p²)` through the
+//!   persistent [`GrowingCholesky`] and its
+//!   [`drop_column`](GrowingCholesky::drop_column) downdates.
 //!
 //! # Numerical contract
 //!
-//! A session fed all samples in a single `extend_samples` call performs
-//! bit-for-bit the same floating-point operations as the pre-session
-//! batch solvers, with one sanctioned exception: the lasso drop path
-//! now downdates the Cholesky factor instead of refactorizing, which
-//! changes low-order bits after the first drop (pinned by the
-//! golden-bits tests in `tests/lasso_drop.rs`). Multi-batch extension
-//! accumulates the data sweeps batch-by-batch, which differs from the
-//! single-sweep result in low-order bits but is *bit-identical across
-//! thread counts* because every inner kernel goes through the runtime's
-//! fixed-order fold.
+//! A delta over all rows of `g` sweeps `g` itself, so one batch performs
+//! the same floating-point operations through every entry point.
+//! Multi-batch ingestion sums the sweeps per batch over row views, which
+//! differs in low-order bits but is *bit-identical across thread counts*
+//! because every inner kernel goes through the runtime's fixed-order
+//! fold.
 
 use crate::lar::LarConfig;
 use crate::lasso_cd::{soft_threshold, LassoCdConfig};
@@ -74,45 +68,78 @@ pub trait FitSession {
     /// Number of sample rows consumed so far.
     fn rows_seen(&self) -> usize;
 
-    /// Feeds the next contiguous batch of sample rows.
+    /// Number of atoms in the dictionary the session was created for.
+    fn num_atoms(&self) -> usize;
+
+    /// The sweeps this session reads from a [`SampleDelta`].
+    fn sweeps(&self) -> Sweeps;
+
+    /// Applies the sweep summary of the next contiguous row batch; the
+    /// path state catches up at the next [`refresh`](Self::refresh) or
+    /// step-like call, so back-to-back deltas pay for one restart.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ShapeMismatch`] for a non-contiguous delta or one
+    /// missing a sweep the session reads; [`CoreError::Numerical`] from
+    /// [`LassoCdSession`] for a non-finite square norm, naming the atom.
+    /// A refused delta leaves the session untouched.
+    fn apply_delta(&mut self, d: SampleDelta) -> Result<()>;
+
+    /// Brings the path state up to date with the rows applied so far
+    /// (LAR's path start, OMP's restore, lasso-CD's residual rebuild);
+    /// `g` and `f` must cover exactly those rows.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Numerical`] if OMP's selected atoms no longer
+    /// factor over the extended rows.
+    fn refresh<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()>;
+
+    /// Feeds the next contiguous batch of sample rows: validates it,
+    /// applies its [`SampleDelta`] and [`refresh`](Self::refresh)es.
     ///
     /// `g` and `f` must describe the **full** data seen so far plus the
     /// new batch (`g.num_rows() == f.len() == new_rows.end`), and
     /// `new_rows.start` must equal [`rows_seen`](Self::rows_seen): the
-    /// session reads only the new rows for its rank-k sweep updates but
-    /// may gather full columns to restore factor invariants.
+    /// sweeps read only the new rows, the refresh may gather full
+    /// columns.
     ///
     /// # Errors
     ///
     /// [`CoreError::ShapeMismatch`] on non-contiguous or misshapen
     /// batches; [`CoreError::BadConfig`] if the new response rows are
-    /// non-finite.
+    /// non-finite; otherwise as [`Self::apply_delta`] and
+    /// [`Self::refresh`].
     fn extend_samples<S: AtomSource + ?Sized>(
         &mut self,
         g: &S,
         f: &[f64],
         new_rows: Range<usize>,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        check_batch(self.rows_seen(), self.num_atoms(), g, f, &new_rows)?;
+        self.apply_delta(SampleDelta::compute(g, f, new_rows, self.sweeps()))?;
+        self.refresh(g, f)
+    }
 }
 
 /// The refusal for a NaN met in an argmax scan. NaN compares false
 /// against every bound, so without it LAR would skip the atom and OMP
-/// would select it, both silently.
-fn nan_correlation(j: usize) -> CoreError {
+/// or STAR would select it, all silently.
+pub(crate) fn nan_correlation(j: usize) -> CoreError {
     CoreError::Numerical(format!(
         "correlation of atom {j} is NaN; a sample or response value feeding it is not finite"
     ))
 }
 
-/// Validates a batch against the rows already consumed. Returns the
-/// batch row indices as a vector (for [`RowSubsetSource`] views).
+/// Validates a batch against the rows already consumed.
 fn check_batch<S: AtomSource + ?Sized>(
     rows_seen: usize,
     m: usize,
     g: &S,
     f: &[f64],
     new_rows: &Range<usize>,
-) -> Result<Vec<usize>> {
+) -> Result<()> {
     if g.num_atoms() != m {
         return Err(CoreError::ShapeMismatch {
             expected: format!("source with {m} atoms"),
@@ -140,17 +167,25 @@ fn check_batch<S: AtomSource + ?Sized>(
             "response vector contains non-finite values".into(),
         ));
     }
-    Ok(new_rows.clone().collect())
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Sample deltas (streaming batches)
 // ---------------------------------------------------------------------------
 
+/// Which data sweeps a [`SampleDelta`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sweeps {
+    /// Per-atom square norms `Σ G[r,j]²`.
+    pub col_sq: bool,
+    /// Raw correlations `Σ G[r,j]·F[r]`.
+    pub c0: bool,
+}
+
 /// The rank-k data-sweep contribution of one contiguous batch of sample
 /// rows, computed away from any session (typically by a runtime worker)
-/// and applied in row order via [`LarSession::apply_delta`] /
-/// [`OmpSession::apply_delta`].
+/// and applied in row order via [`FitSession::apply_delta`].
 ///
 /// A delta carries `O(M)` numbers regardless of the batch length, so the
 /// pipelined driver ([`crate::solver::fit_streaming`]) moves deltas —
@@ -159,21 +194,18 @@ fn check_batch<S: AtomSource + ?Sized>(
 pub struct SampleDelta {
     /// The contiguous row range this delta covers.
     pub rows: Range<usize>,
-    /// `Σ_{r∈rows} G[r,j]²` per atom.
+    /// `Σ_{r∈rows} G[r,j]²` per atom (empty unless [`Sweeps::col_sq`]).
     pub col_sq: Vec<f64>,
-    /// `Σ_{r∈rows} G[r,j]·F[r]` per atom (empty when computed with
-    /// `with_correlations == false`).
+    /// `Σ_{r∈rows} G[r,j]·F[r]` per atom (empty unless [`Sweeps::c0`]).
     pub c0: Vec<f64>,
-    /// `Σ_{r∈rows} F[r]²`.
-    pub f_sq: f64,
 }
 
 impl SampleDelta {
-    /// Sweeps the given rows of `g`/`f` into a delta. `f` is indexed
-    /// absolutely (`f.len() >= rows.end` and `rows.end <=
-    /// g.num_rows()`). Raw correlations are computed only when the
-    /// consuming session needs them (LAR does; OMP correlates against
-    /// its own residual instead).
+    /// Sweeps the given rows of `g`/`f` into a delta carrying the
+    /// requested `sweeps`. `f` is indexed absolutely (`f.len() >=
+    /// rows.end` and `rows.end <= g.num_rows()`). A delta over all rows
+    /// of `g` sweeps `g` itself, keeping any parallel kernel the source
+    /// has; any other range sweeps a [`RowSubsetSource`] view.
     ///
     /// The response rows are *not* validated for finiteness here — the
     /// streaming driver checks `f` once up front.
@@ -181,35 +213,47 @@ impl SampleDelta {
         g: &S,
         f: &[f64],
         rows: Range<usize>,
-        with_correlations: bool,
+        sweeps: Sweeps,
     ) -> Self {
-        let idx: Vec<usize> = rows.clone().collect();
-        let view = RowSubsetSource::new(g, &idx);
-        let col_sq = view.column_sq_norms();
         let fb = &f[rows.clone()];
-        let c0 = if with_correlations {
-            view.correlate(fb)
-        } else {
-            Vec::new()
-        };
+        if rows == (0..g.num_rows()) {
+            return Self::sweep(g, fb, rows, sweeps);
+        }
+        let idx: Vec<usize> = rows.clone().collect();
+        Self::sweep(&RowSubsetSource::new(g, &idx), fb, rows, sweeps)
+    }
+
+    fn sweep<S: AtomSource + ?Sized>(
+        g: &S,
+        fb: &[f64],
+        rows: Range<usize>,
+        sweeps: Sweeps,
+    ) -> Self {
         SampleDelta {
             rows,
-            col_sq,
-            c0,
-            f_sq: dot(fb, fb),
+            col_sq: if sweeps.col_sq {
+                g.column_sq_norms()
+            } else {
+                Vec::new()
+            },
+            c0: if sweeps.c0 {
+                g.correlate(fb)
+            } else {
+                Vec::new()
+            },
         }
     }
 
     /// Validates the delta against a session that has consumed
-    /// `rows_seen` rows of an `m`-atom dictionary.
-    fn check(&self, rows_seen: usize, m: usize, need_c0: bool) -> Result<()> {
+    /// `rows_seen` rows of an `m`-atom dictionary and reads `need`.
+    fn check(&self, rows_seen: usize, m: usize, need: Sweeps) -> Result<()> {
         if self.rows.start != rows_seen || self.rows.end < self.rows.start {
             return Err(CoreError::ShapeMismatch {
                 expected: format!("contiguous delta starting at row {rows_seen}"),
                 found: format!("rows {}..{}", self.rows.start, self.rows.end),
             });
         }
-        if self.col_sq.len() != m || (need_c0 && self.c0.len() != m) {
+        if (need.col_sq && self.col_sq.len() != m) || (need.c0 && self.c0.len() != m) {
             return Err(CoreError::ShapeMismatch {
                 expected: format!("delta over {m} atoms"),
                 found: format!(
@@ -220,6 +264,20 @@ impl SampleDelta {
             });
         }
         Ok(())
+    }
+}
+
+/// Adds a delta's per-atom sums into an accumulator (moving them in
+/// for the first batch).
+fn accumulate(acc: &mut Vec<f64>, first: bool, d: Vec<f64>) {
+    if first {
+        *acc = d;
+    } else {
+        // The delta was checked to span the same m atoms.
+        debug_assert_eq!(acc.len(), d.len());
+        for (a, v) in acc.iter_mut().zip(&d) {
+            *a += v;
+        }
     }
 }
 
@@ -268,12 +326,6 @@ pub struct LarSession {
     col_sq: Vec<f64>,
     /// Accumulated raw correlations `Σ_r G[r,j]·F[r]`.
     c0: Vec<f64>,
-    /// Accumulated `Σ_r F[r]²` (the streaming response-norm source).
-    f_sq: f64,
-    /// `‖F‖₂` over the rows seen (recomputed exactly by
-    /// [`FitSession::extend_samples`]; derived from [`Self::f_sq`] on
-    /// the delta path).
-    f_norm: f64,
     path: Option<LarPathState>,
 }
 
@@ -293,45 +345,8 @@ impl LarSession {
             k: 0,
             col_sq: vec![0.0; m],
             c0: vec![0.0; m],
-            f_sq: 0.0,
-            f_norm: 0.0,
             path: None,
         })
-    }
-
-    /// Applies a worker-produced batch without touching the data: the
-    /// streaming counterpart of [`FitSession::extend_samples`]. The
-    /// response norm is derived from the accumulated `Σ F[r]²` (instead
-    /// of an exact `O(K)` re-norm), so multi-delta sessions differ from
-    /// single-batch fits in low-order bits — but remain bit-identical
-    /// across thread counts for a fixed batch grid.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] for a non-contiguous batch or a
-    /// delta computed without correlations.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        d.check(self.k, self.m, true)?;
-        if self.k == 0 {
-            self.col_sq = d.col_sq;
-            self.c0 = d.c0;
-        } else {
-            // `d.check` proved both sides are m-length; the asserts
-            // document the lockstep contract at the zip itself.
-            debug_assert_eq!(self.col_sq.len(), d.col_sq.len());
-            debug_assert_eq!(self.c0.len(), d.c0.len());
-            for (acc, v) in self.col_sq.iter_mut().zip(&d.col_sq) {
-                *acc += v;
-            }
-            for (acc, v) in self.c0.iter_mut().zip(&d.c0) {
-                *acc += v;
-            }
-        }
-        self.k = d.rows.end;
-        self.f_sq += d.f_sq;
-        self.f_norm = self.f_sq.max(0.0).sqrt();
-        self.path = None;
-        Ok(())
     }
 
     /// Number of path steps taken so far (0 before the first `step`).
@@ -344,12 +359,14 @@ impl LarSession {
         self.path.as_ref().is_some_and(|p| p.done)
     }
 
-    /// Starts (or restarts) the path from the accumulated sweeps.
-    fn ensure_started(&mut self) {
+    /// Starts (or restarts) the path from the accumulated sweeps and
+    /// the response `f` over the rows seen.
+    fn ensure_started(&mut self, f: &[f64]) {
         if self.path.is_some() {
             return;
         }
         let m = self.m;
+        let f_norm = norm2(f);
         let mut col_norms = self.col_sq.clone();
         let mut excluded = vec![false; m];
         for (j, n) in col_norms.iter_mut().enumerate() {
@@ -375,11 +392,11 @@ impl LarSession {
             snapshots: Vec::new(),
             residual_norms: Vec::new(),
             steps: 0,
-            tol: self.cfg.rel_tol * self.f_norm,
+            tol: self.cfg.rel_tol * f_norm,
             max_active: self.cfg.max_steps.min(self.k).min(m),
             done: false,
         };
-        if tol::exactly_zero(self.f_norm) {
+        if tol::exactly_zero(f_norm) {
             // Degenerate response: the zero model is exact.
             state.snapshots.push(SparseModel::zero(m));
             state.residual_norms.push(0.0);
@@ -398,7 +415,7 @@ impl LarSession {
     /// [`CoreError::Numerical`] if the active-set factorization breaks
     /// down irrecoverably, or if a candidate atom's correlation is NaN.
     pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
-        self.ensure_started();
+        self.ensure_started(f);
         let k = self.k;
         let m = self.m;
         let lasso = self.cfg.lasso;
@@ -634,14 +651,7 @@ impl LarSession {
     ///
     /// As [`Self::path`].
     pub fn into_path(self) -> Result<SparsePath> {
-        match self.path {
-            Some(st) if !st.snapshots.is_empty() => {
-                Ok(SparsePath::new(self.m, st.snapshots, st.residual_norms))
-            }
-            _ => Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            )),
-        }
+        self.path()
     }
 }
 
@@ -650,37 +660,31 @@ impl FitSession for LarSession {
         self.k
     }
 
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        if self.k == 0 {
-            // First batch: direct sweeps over the source — for the
-            // single-batch (wrapper) case this is bit-identical to the
-            // historical batch solver.
-            self.col_sq = g.column_sq_norms();
-            self.c0 = g.correlate(f);
-        } else if !rows.is_empty() {
-            let view = RowSubsetSource::new(g, &rows);
-            let sq = view.column_sq_norms();
-            for (acc, v) in self.col_sq.iter_mut().zip(&sq) {
-                *acc += v;
-            }
-            let dc = view.correlate(&f[new_rows.clone()]);
-            for (acc, v) in self.c0.iter_mut().zip(&dc) {
-                *acc += v;
-            }
+    fn num_atoms(&self) -> usize {
+        self.m
+    }
+
+    fn sweeps(&self) -> Sweeps {
+        Sweeps {
+            col_sq: true,
+            c0: true,
         }
-        let fb = &f[new_rows.clone()];
-        self.f_sq += dot(fb, fb);
-        self.k = new_rows.end;
-        self.f_norm = norm2(f);
+    }
+
+    fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
+        d.check(self.k, self.m, self.sweeps())?;
+        let first = self.k == 0;
+        accumulate(&mut self.col_sq, first, d.col_sq);
+        accumulate(&mut self.c0, first, d.c0);
+        self.k = d.rows.end;
         // The equiangular invariant does not survive a data change:
-        // restart the path (the accumulated sweeps carry over).
+        // the path restarts (the accumulated sweeps carry over).
         self.path = None;
+        Ok(())
+    }
+
+    fn refresh<S: AtomSource + ?Sized>(&mut self, _g: &S, f: &[f64]) -> Result<()> {
+        self.ensure_started(f);
         Ok(())
     }
 }
@@ -703,11 +707,7 @@ pub struct OmpSession {
     k: usize,
     /// Accumulated `Σ_r G[r,j]²` (only tracked under `normalize_atoms`).
     col_sq: Option<Vec<f64>>,
-    /// Accumulated `Σ_r F[r]²` (the streaming response-norm source).
-    f_sq: f64,
-    /// `‖F‖₂` over the rows seen (recomputed exactly by
-    /// [`FitSession::extend_samples`]; derived from [`Self::f_sq`] on
-    /// the delta path).
+    /// `‖F‖₂` over the rows seen, taken by [`Self::restore`].
     f_norm: f64,
     qr: GrowingQr,
     selected: Vec<usize>,
@@ -716,9 +716,9 @@ pub struct OmpSession {
     res: Vec<f64>,
     snapshots: Vec<SparseModel>,
     residual_norms: Vec<f64>,
-    /// Set by [`Self::apply_delta`]: the QR factor / residual /
+    /// Set by [`FitSession::apply_delta`]: the QR factor / residual /
     /// snapshots are stale and must be restored against the full data
-    /// before the next step.
+    /// before they are read.
     pending_restore: bool,
     done: bool,
 }
@@ -739,7 +739,6 @@ impl OmpSession {
             m,
             k: 0,
             col_sq,
-            f_sq: 0.0,
             f_norm: 0.0,
             qr: GrowingQr::new(0),
             selected: Vec::new(),
@@ -751,39 +750,6 @@ impl OmpSession {
             pending_restore: false,
             done: false,
         })
-    }
-
-    /// Applies a worker-produced batch: the streaming counterpart of
-    /// [`FitSession::extend_samples`]. The expensive part of an OMP
-    /// extension — rebuilding the QR factor over the extended columns —
-    /// is deferred to the next [`step`](Self::step) (or
-    /// [`deselect`](Self::deselect)) call, so back-to-back deltas pay
-    /// for one restore, not one per batch. As on the LAR delta path,
-    /// the response norm is derived from the accumulated `Σ F[r]²`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] for a non-contiguous or misshapen
-    /// delta.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        d.check(self.k, self.m, false)?;
-        if let Some(col_sq) = &mut self.col_sq {
-            if self.k == 0 {
-                *col_sq = d.col_sq;
-            } else {
-                // `d.check` proved the delta spans all m atoms.
-                debug_assert_eq!(col_sq.len(), d.col_sq.len());
-                for (acc, v) in col_sq.iter_mut().zip(&d.col_sq) {
-                    *acc += v;
-                }
-            }
-        }
-        self.k = d.rows.end;
-        self.f_sq += d.f_sq;
-        self.f_norm = self.f_sq.max(0.0).sqrt();
-        self.pending_restore = true;
-        self.done = false;
-        Ok(())
     }
 
     /// Number of selection steps taken so far.
@@ -813,6 +779,7 @@ impl OmpSession {
     /// QR rebuild across the selected support (`O(K·p)` per atom), a
     /// residual re-fit, and a snapshot refresh — not a re-selection.
     fn restore<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
+        self.f_norm = norm2(f);
         self.qr = GrowingQr::new(self.k);
         let mut col = vec![0.0; self.k];
         for (pos, &s) in self.selected.iter().enumerate() {
@@ -843,9 +810,7 @@ impl OmpSession {
         if self.done {
             return Ok(StepOutcome::Finished);
         }
-        if self.pending_restore {
-            self.restore(g, f)?;
-        }
+        self.refresh(g, f)?;
         if tol::exactly_zero(self.f_norm) {
             if self.snapshots.is_empty() {
                 self.snapshots.push(SparseModel::zero(self.m));
@@ -944,6 +909,9 @@ impl OmpSession {
         f: &[f64],
         lambda: usize,
     ) -> Result<()> {
+        // Restore first: a model already on the path must be refit to
+        // rows applied since it was taken, even if no step follows.
+        self.refresh(g, f)?;
         while self.selected.len() < lambda {
             if self.step(g, f)? == StepOutcome::Finished {
                 break;
@@ -978,9 +946,7 @@ impl OmpSession {
                 self.selected.len()
             )));
         }
-        if self.pending_restore {
-            self.restore(g, f)?;
-        }
+        self.refresh(g, f)?;
         let j = self.selected.remove(pos);
         self.in_model[j] = false;
         self.qr.remove_column(pos)?;
@@ -1024,8 +990,16 @@ impl OmpSession {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unsolvable`] if no snapshot exists yet.
+    /// [`CoreError::Unsolvable`] if no snapshot exists yet;
+    /// [`CoreError::BadConfig`] if rows were applied since the last
+    /// [`refresh`](FitSession::refresh) (the snapshots are fitted to
+    /// the old rows).
     pub fn path(&self) -> Result<SparsePath> {
+        if self.pending_restore {
+            return Err(CoreError::BadConfig(
+                "samples were applied since the last step; refresh or step first".into(),
+            ));
+        }
         if self.snapshots.is_empty() {
             return Err(CoreError::Unsolvable(
                 "no informative basis vector found".into(),
@@ -1044,12 +1018,7 @@ impl OmpSession {
     ///
     /// As [`Self::path`].
     pub fn into_path(self) -> Result<SparsePath> {
-        if self.snapshots.is_empty() {
-            return Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            ));
-        }
-        Ok(SparsePath::new(self.m, self.snapshots, self.residual_norms))
+        self.path()
     }
 }
 
@@ -1058,30 +1027,32 @@ impl FitSession for OmpSession {
         self.k
     }
 
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        if let Some(col_sq) = &mut self.col_sq {
-            if self.k == 0 {
-                *col_sq = g.column_sq_norms();
-            } else if !rows.is_empty() {
-                let view = RowSubsetSource::new(g, &rows);
-                let sq = view.column_sq_norms();
-                for (acc, v) in col_sq.iter_mut().zip(&sq) {
-                    *acc += v;
-                }
-            }
+    fn num_atoms(&self) -> usize {
+        self.m
+    }
+
+    fn sweeps(&self) -> Sweeps {
+        Sweeps {
+            col_sq: self.col_sq.is_some(),
+            c0: false,
         }
-        let fb = &f[new_rows.clone()];
-        self.f_sq += dot(fb, fb);
-        self.k = new_rows.end;
-        self.f_norm = norm2(f);
-        self.restore(g, f)?;
+    }
+
+    fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
+        d.check(self.k, self.m, self.sweeps())?;
+        if let Some(col_sq) = &mut self.col_sq {
+            accumulate(col_sq, self.k == 0, d.col_sq);
+        }
+        self.k = d.rows.end;
+        self.pending_restore = true;
         self.done = false;
+        Ok(())
+    }
+
+    fn refresh<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
+        if self.pending_restore {
+            self.restore(g, f)?;
+        }
         Ok(())
     }
 }
@@ -1091,9 +1062,9 @@ impl FitSession for OmpSession {
 // ---------------------------------------------------------------------------
 
 /// Resumable coordinate-descent lasso state. The coefficient vector is
-/// its own warm start: extensions append residual rows for the new
-/// samples (gathering only the support's columns) and sweeping resumes
-/// from the current iterate.
+/// its own warm start: after new rows arrive the residual is rebuilt
+/// over all rows from the support's columns and sweeping resumes from
+/// the current iterate.
 #[derive(Debug, Clone)]
 pub struct LassoCdSession {
     cfg: LassoCdConfig,
@@ -1104,6 +1075,9 @@ pub struct LassoCdSession {
     alpha: Vec<f64>,
     res: Vec<f64>,
     fscale: f64,
+    /// Set by [`FitSession::apply_delta`]: the residual and `fscale`
+    /// must be rebuilt against the full data before the next sweep.
+    pending_rebuild: bool,
     sweeps_done: usize,
     converged: bool,
 }
@@ -1137,6 +1111,7 @@ impl LassoCdSession {
             alpha,
             res: Vec::new(),
             fscale: tol::NORM_FLOOR,
+            pending_rebuild: false,
             sweeps_done: 0,
             converged: false,
         })
@@ -1159,10 +1134,11 @@ impl LassoCdSession {
     ///
     /// None currently; the `Result` reserves the right to surface
     /// kernel failures.
-    pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, _f: &[f64]) -> Result<StepOutcome> {
+    pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
         if self.converged {
             return Ok(StepOutcome::Finished);
         }
+        self.refresh(g, f)?;
         let mut max_delta = 0.0f64;
         let mut max_alpha = 0.0f64;
         let mut col = vec![0.0; self.k];
@@ -1226,56 +1202,50 @@ impl FitSession for LassoCdSession {
         self.k
     }
 
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        let first = self.k == 0;
-        if first {
-            self.col_sq = g.column_sq_norms();
-        } else if !rows.is_empty() {
-            let view = RowSubsetSource::new(g, &rows);
-            let sq = view.column_sq_norms();
-            for (acc, v) in self.col_sq.iter_mut().zip(&sq) {
-                *acc += v;
-            }
+    fn num_atoms(&self) -> usize {
+        self.m
+    }
+
+    fn sweeps(&self) -> Sweeps {
+        Sweeps {
+            col_sq: true,
+            c0: false,
         }
-        // Residual rows for the new samples: r = F − G·α, gathering
-        // only the support's columns.
-        let batch_len = new_rows.end - new_rows.start;
-        let start = new_rows.start;
-        self.res.extend_from_slice(&f[new_rows.clone()]);
-        if self.alpha.iter().any(|&a| !tol::exactly_zero(a)) {
-            if first {
-                // Single-batch (wrapper) case: full columns, identical
-                // to the historical warm-start residual build.
-                let mut col = vec![0.0; new_rows.end];
-                for (j, &aj) in self.alpha.clone().iter().enumerate() {
-                    if tol::exactly_zero(aj) {
-                        continue;
-                    }
-                    g.column_into(j, &mut col);
-                    axpy(-aj, &col, &mut self.res);
-                }
-            } else if batch_len > 0 {
-                let view = RowSubsetSource::new(g, &rows);
-                let mut col = vec![0.0; batch_len];
-                for (j, &aj) in self.alpha.clone().iter().enumerate() {
-                    if tol::exactly_zero(aj) {
-                        continue;
-                    }
-                    view.column_into(j, &mut col);
-                    axpy(-aj, &col, &mut self.res[start..]);
-                }
-            }
+    }
+
+    fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
+        d.check(self.k, self.m, self.sweeps())?;
+        // A non-finite sample would turn every coefficient it touches NaN.
+        if let Some((j, v)) = d.col_sq.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            return Err(CoreError::Numerical(format!(
+                "square norm of atom {j} is {v}; a sample value feeding it is not finite"
+            )));
         }
-        self.k = new_rows.end;
-        self.fscale = norm2(f).max(tol::NORM_FLOOR);
+        accumulate(&mut self.col_sq, self.k == 0, d.col_sq);
+        self.k = d.rows.end;
+        self.pending_rebuild = true;
         self.sweeps_done = 0;
         self.converged = false;
+        Ok(())
+    }
+
+    /// Rebuilds the residual `r = F − G·α` over all rows, gathering
+    /// only the support's columns.
+    fn refresh<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
+        if !self.pending_rebuild {
+            return Ok(());
+        }
+        self.res = f.to_vec();
+        let mut col = vec![0.0; self.k];
+        for (j, &aj) in self.alpha.iter().enumerate() {
+            if tol::exactly_zero(aj) {
+                continue;
+            }
+            g.column_into(j, &mut col);
+            axpy(-aj, &col, &mut self.res);
+        }
+        self.fscale = norm2(f).max(tol::NORM_FLOOR);
+        self.pending_rebuild = false;
         Ok(())
     }
 }
@@ -1293,6 +1263,17 @@ pub enum MethodSession {
     Lar(LarSession),
     /// Orthogonal matching pursuit.
     Omp(OmpSession),
+}
+
+/// Evaluates `$body` with `$s` bound to whichever session a
+/// [`MethodSession`] holds.
+macro_rules! dispatch {
+    ($self:expr, $s:ident => $body:expr) => {
+        match $self {
+            MethodSession::Lar($s) => $body,
+            MethodSession::Omp($s) => $body,
+        }
+    };
 }
 
 impl MethodSession {
@@ -1324,25 +1305,6 @@ impl MethodSession {
         }
     }
 
-    /// `true` when [`SampleDelta`]s fed to this session must carry raw
-    /// correlations (LAR's data sweep needs `Gᵀ·F`; OMP correlates
-    /// against its own residual instead).
-    pub fn needs_correlations(&self) -> bool {
-        matches!(self, MethodSession::Lar(_))
-    }
-
-    /// See [`LarSession::apply_delta`] / [`OmpSession::apply_delta`].
-    ///
-    /// # Errors
-    ///
-    /// As the underlying session.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.apply_delta(d),
-            MethodSession::Omp(s) => s.apply_delta(d),
-        }
-    }
-
     /// Advances the path until `lambda` steps/selections have been
     /// taken (or it finishes earlier). `g`/`f` must cover exactly the
     /// rows fed so far.
@@ -1356,26 +1318,17 @@ impl MethodSession {
         f: &[f64],
         lambda: usize,
     ) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.run_to(g, f, lambda),
-            MethodSession::Omp(s) => s.run_to(g, f, lambda),
-        }
+        dispatch!(self, s => s.run_to(g, f, lambda))
     }
 
     /// Number of path steps taken so far.
     pub fn steps_taken(&self) -> usize {
-        match self {
-            MethodSession::Lar(s) => s.steps_taken(),
-            MethodSession::Omp(s) => s.steps_taken(),
-        }
+        dispatch!(self, s => s.steps_taken())
     }
 
     /// `true` once the path can no longer advance.
     pub fn is_finished(&self) -> bool {
-        match self {
-            MethodSession::Lar(s) => s.is_finished(),
-            MethodSession::Omp(s) => s.is_finished(),
-        }
+        dispatch!(self, s => s.is_finished())
     }
 
     /// The path traced so far.
@@ -1384,31 +1337,29 @@ impl MethodSession {
     ///
     /// As the underlying session's `path`.
     pub fn path(&self) -> Result<SparsePath> {
-        match self {
-            MethodSession::Lar(s) => s.path(),
-            MethodSession::Omp(s) => s.path(),
-        }
+        dispatch!(self, s => s.path())
     }
 }
 
 impl FitSession for MethodSession {
     fn rows_seen(&self) -> usize {
-        match self {
-            MethodSession::Lar(s) => s.rows_seen(),
-            MethodSession::Omp(s) => s.rows_seen(),
-        }
+        dispatch!(self, s => s.rows_seen())
     }
 
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.extend_samples(g, f, new_rows),
-            MethodSession::Omp(s) => s.extend_samples(g, f, new_rows),
-        }
+    fn num_atoms(&self) -> usize {
+        dispatch!(self, s => s.num_atoms())
+    }
+
+    fn sweeps(&self) -> Sweeps {
+        dispatch!(self, s => s.sweeps())
+    }
+
+    fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
+        dispatch!(self, s => s.apply_delta(d))
+    }
+
+    fn refresh<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
+        dispatch!(self, s => s.refresh(g, f))
     }
 }
 
@@ -1674,53 +1625,27 @@ mod tests {
     }
 
     #[test]
-    fn lar_delta_feed_agrees_with_extension_feed() {
-        // Deltas accumulate the exact same view sweeps as extensions;
-        // only the response norm differs (√ΣF² vs the scaled norm2),
-        // so the paths agree to low-order bits and in support.
-        let (g, f) = sparse_problem(64, 30, 41);
-        let cfg = LarConfig::new(6);
-        let mut by_ext = LarSession::new(cfg.clone(), 30).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 40);
-        by_ext.extend_samples(&g1, &f1, 0..40).unwrap();
-        by_ext.extend_samples(&g, &f, 40..64).unwrap();
-        by_ext.run(&g, &f).unwrap();
-        let mut by_delta = LarSession::new(cfg, 30).unwrap();
-        by_delta
-            .apply_delta(SampleDelta::compute(&g, &f, 0..40, true))
-            .unwrap();
-        by_delta
-            .apply_delta(SampleDelta::compute(&g, &f, 40..64, true))
-            .unwrap();
-        assert_eq!(by_delta.rows_seen(), 64);
-        by_delta.run(&g, &f).unwrap();
-        let pe = by_ext.into_path().unwrap();
-        let pd = by_delta.into_path().unwrap();
-        assert_eq!(pe.len(), pd.len());
-        assert_eq!(pe.final_model().support(), pd.final_model().support());
-        for (a, b) in pe.residual_norms().iter().zip(pd.residual_norms()) {
-            assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn omp_delta_defers_restore_until_step() {
         let (g, f) = sparse_problem(70, 28, 43);
         let cfg = OmpConfig::new(5);
         let batch = cfg.fit(&g, &f).unwrap();
         let mut s = OmpSession::new(cfg, 28).unwrap();
-        // Back-to-back deltas: no QR work happens until the first step.
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..32, false))
+        // Back-to-back deltas: no QR work happens until the first step,
+        // and stale snapshots are refused until then.
+        s.apply_delta(SampleDelta::compute(&g, &f, 0..32, s.sweeps()))
             .unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 32..70, false))
+        s.apply_delta(SampleDelta::compute(&g, &f, 32..70, s.sweeps()))
             .unwrap();
         assert_eq!(s.rows_seen(), 70);
         assert_eq!(s.steps_taken(), 0);
+        assert!(matches!(s.path(), Err(CoreError::BadConfig(_))));
         s.run(&g, &f).unwrap();
         let path = s.into_path().unwrap();
+        // Plain OMP reads no data sweep, so the batch grid cannot move
+        // a bit.
         assert_eq!(path.final_model().support(), batch.final_model().support());
         for (a, b) in path.residual_norms().iter().zip(batch.residual_norms()) {
-            assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 
@@ -1729,13 +1654,13 @@ mod tests {
         let (g, f) = sparse_problem(80, 26, 47);
         let cfg = OmpConfig::new(6);
         let mut s = OmpSession::new(cfg.clone(), 26).unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..50, false))
+        s.apply_delta(SampleDelta::compute(&g, &f, 0..50, s.sweeps()))
             .unwrap();
         let (g1, f1) = take_rows(&g, &f, 50);
         s.run_to(&g1, &f1, 2).unwrap();
         let kept: Vec<usize> = s.selected().to_vec();
         assert_eq!(kept.len(), 2);
-        s.apply_delta(SampleDelta::compute(&g, &f, 50..80, false))
+        s.apply_delta(SampleDelta::compute(&g, &f, 50..80, s.sweeps()))
             .unwrap();
         assert!(!s.is_finished());
         s.run(&g, &f).unwrap();
@@ -1753,21 +1678,22 @@ mod tests {
     fn delta_shape_violations_rejected() {
         let (g, f) = sparse_problem(40, 22, 53);
         let mut lar = LarSession::new(LarConfig::new(3), 22).unwrap();
+        let all = lar.sweeps();
         // Gap: delta must start at the session's row count.
-        let gap = SampleDelta::compute(&g, &f, 10..20, true);
+        let gap = SampleDelta::compute(&g, &f, 10..20, all);
         assert!(lar.apply_delta(gap).is_err());
         // LAR deltas must carry correlations.
-        let no_c0 = SampleDelta::compute(&g, &f, 0..20, false);
+        let no_c0 = SampleDelta::compute(&g, &f, 0..20, Sweeps { c0: false, ..all });
         assert!(lar.apply_delta(no_c0).is_err());
         // Wrong atom count.
-        let mut wrong = SampleDelta::compute(&g, &f, 0..20, true);
+        let mut wrong = SampleDelta::compute(&g, &f, 0..20, all);
         wrong.col_sq.pop();
         assert!(lar.apply_delta(wrong).is_err());
         // A valid delta still lands after the rejections.
-        let ok = SampleDelta::compute(&g, &f, 0..20, true);
+        let ok = SampleDelta::compute(&g, &f, 0..20, all);
         assert!(lar.apply_delta(ok).is_ok());
         let mut omp = OmpSession::new(OmpConfig::new(2), 22).unwrap();
-        let gap = SampleDelta::compute(&g, &f, 5..15, false);
+        let gap = SampleDelta::compute(&g, &f, 5..15, omp.sweeps());
         assert!(omp.apply_delta(gap).is_err());
     }
 
@@ -1777,11 +1703,17 @@ mod tests {
         let (g, f) = sparse_problem(50, 24, 59);
         for method in [Method::Lar, Method::LarLasso, Method::Omp] {
             let mut s = MethodSession::new(method, 4, 24).unwrap();
+            // LAR reads both sweeps; plain OMP correlates against its
+            // own residual and reads none.
+            let lar = matches!(method, Method::Lar | Method::LarLasso);
             assert_eq!(
-                s.needs_correlations(),
-                matches!(method, Method::Lar | Method::LarLasso)
+                s.sweeps(),
+                Sweeps {
+                    col_sq: lar,
+                    c0: lar
+                }
             );
-            s.apply_delta(SampleDelta::compute(&g, &f, 0..50, s.needs_correlations()))
+            s.apply_delta(SampleDelta::compute(&g, &f, 0..50, s.sweeps()))
                 .unwrap();
             s.run_to(&g, &f, 4).unwrap();
             assert!(s.steps_taken() >= 1);
@@ -1823,13 +1755,13 @@ mod tests {
         let (g, f) = sparse_problem(60, 20, 67);
         let (g1, f1) = take_rows(&g, &f, 40);
         let mut s = LarSession::new(LarConfig::new(4), 20).unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, true))
+        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, s.sweeps()))
             .unwrap();
         s.run(&g1, &f1).unwrap();
         assert!(s.is_finished());
         // Feeding a finished session is legal: the path restarts over
         // the accumulated data and the session runs again.
-        s.apply_delta(SampleDelta::compute(&g, &f, 40..60, true))
+        s.apply_delta(SampleDelta::compute(&g, &f, 40..60, s.sweeps()))
             .unwrap();
         assert!(!s.is_finished());
         assert_eq!(s.steps_taken(), 0);
@@ -1842,7 +1774,7 @@ mod tests {
     fn non_contiguous_delta_reports_structured_shape_mismatch() {
         let (g, f) = sparse_problem(40, 18, 71);
         let mut s = OmpSession::new(OmpConfig::new(3), 18).unwrap();
-        let gap = SampleDelta::compute(&g, &f, 12..30, false);
+        let gap = SampleDelta::compute(&g, &f, 12..30, s.sweeps());
         match s.apply_delta(gap) {
             Err(CoreError::ShapeMismatch { expected, found }) => {
                 assert!(
@@ -1856,10 +1788,47 @@ mod tests {
         // The rejection leaves the session unpoisoned: nothing was
         // consumed and a well-formed feed still works.
         assert_eq!(s.rows_seen(), 0);
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, false))
+        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, s.sweeps()))
             .unwrap();
         s.run(&g, &f).unwrap();
         assert!(!s.into_path().unwrap().is_empty());
+    }
+
+    #[test]
+    fn omp_run_to_refits_the_path_after_a_delta() {
+        // A `run_to` that takes no step must still refit the models it
+        // reads to the rows applied since they were taken: after the
+        // second delta, λ = 2 is already on the path.
+        let (g, f) = sparse_problem(64, 32, 17);
+        let (g1, f1) = take_rows(&g, &f, 40);
+        let cfg = OmpConfig::new(5);
+        let mut by_delta = OmpSession::new(cfg.clone(), 32).unwrap();
+        by_delta
+            .apply_delta(SampleDelta::compute(&g, &f, 0..40, by_delta.sweeps()))
+            .unwrap();
+        by_delta.run_to(&g1, &f1, 3).unwrap();
+        by_delta
+            .apply_delta(SampleDelta::compute(&g, &f, 40..64, by_delta.sweeps()))
+            .unwrap();
+        by_delta.run_to(&g, &f, 2).unwrap();
+        let mut by_ext = OmpSession::new(cfg, 32).unwrap();
+        by_ext.extend_samples(&g1, &f1, 0..40).unwrap();
+        by_ext.run_to(&g1, &f1, 3).unwrap();
+        by_ext.extend_samples(&g, &f, 40..64).unwrap();
+        by_ext.run_to(&g, &f, 2).unwrap();
+        let (a, b) = (by_delta.path().unwrap(), by_ext.path().unwrap());
+        assert_eq!(a.len(), 3);
+        for lambda in 1..=3 {
+            let (ma, mb) = (a.model_at(lambda), b.model_at(lambda));
+            assert_eq!(ma.support(), mb.support(), "λ = {lambda}");
+            for (&(j, x), &(_, y)) in ma.coefficients().iter().zip(mb.coefficients()) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "λ = {lambda}, atom {j}: {x} vs {y}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Unified solver front-end: pick a [`Method`] and a [`ModelOrder`]
 //! policy, get a fitted [`SparseModel`] plus diagnostics.
 //!
-//! Two drivers share this surface:
+//! There is one fit driver for the path methods (LAR, LAR(lasso),
+//! OMP): [`fit_streaming`], in which runtime workers sweep sample
+//! batches into [`SampleDelta`]s while the fitter applies them in row
+//! order, and cross-validation may stop early once the error curve
+//! flattens ([`StreamConfig::early_stop`]). [`fit`] is that driver with
+//! one batch of all `K` rows, so the two agree bit for bit whenever the
+//! batch covers every row. LS and STAR have no session and keep their
+//! own arms in [`fit`].
 //!
-//! - [`fit`] — the batch driver: sweep all samples in one pass, fit,
-//!   optionally cross-validate over the full `λ` range.
-//! - [`fit_streaming`] — the pipelined driver: runtime workers sweep
-//!   sample batches into [`SampleDelta`]s in parallel while the fitter
-//!   consumes them in row order; cross-validation can stop early once
-//!   the error curve flattens ([`StreamConfig::early_stop`]).
-//!
-//! Both cross-validate through the same engine: the `λ`-lockstep walk
+//! Cross-validation runs through one engine: the `λ`-lockstep walk
 //! over warm per-fold fits in [`crate::select`].
 
 use crate::lar::LarConfig;
@@ -18,7 +18,7 @@ use crate::ls::LsConfig;
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
 use crate::select::{lockstep_cv, CvConfig, CvResult};
-use crate::session::{MethodSession, SampleDelta};
+use crate::session::{FitSession, MethodSession, SampleDelta};
 use crate::source::AtomSource;
 use crate::star::StarConfig;
 use crate::{CoreError, Result};
@@ -96,11 +96,15 @@ pub struct FitReport {
 /// [`crate::source::RowSubsetSource`] fold views, folds in parallel
 /// (see [`crate::select`]).
 ///
+/// LAR, LAR(lasso) and OMP run [`fit_streaming`] with a single batch of
+/// all `K` rows; its one delta sweeps `g` itself, so the source's own
+/// parallel kernels do the work.
+///
 /// # Errors
 ///
 /// - [`CoreError::ShapeMismatch`] / [`CoreError::BadConfig`] for a
-///   misshapen response, a zero `λ`, or a fold count that cannot split
-///   the samples;
+///   misshapen or non-finite response, a zero `λ`, or a fold count that
+///   cannot split the samples;
 /// - the underlying solver errors; see [`OmpConfig::fit`],
 ///   [`LarConfig::fit`], [`StarConfig::fit`], [`LsConfig::fit`].
 pub fn fit<S: AtomSource + ?Sized + Sync>(
@@ -110,18 +114,13 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
     order: &ModelOrder,
 ) -> Result<FitReport> {
     let t0 = Instant::now();
-    let report = match method {
+    let (model, lambda, cv) = match method {
         Method::Ls => {
             let model = LsConfig.fit(g, f)?;
-            FitReport {
-                lambda: model.num_bases(),
-                model,
-                method,
-                cv: None,
-                fit_seconds: 0.0,
-            }
+            let lambda = model.num_bases();
+            (model, lambda, None)
         }
-        _ => {
+        Method::Star => {
             let (lambda, cv) = match order {
                 ModelOrder::Fixed(l) => (*l, None),
                 ModelOrder::CrossValidated(cfg) => {
@@ -129,22 +128,20 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
                     (cv.best_lambda, Some(cv))
                 }
             };
-            if lambda == 0 {
-                return Err(CoreError::BadConfig("lambda must be at least 1".into()));
-            }
-            let path = fit_path(method, g, f, lambda)?;
-            FitReport {
-                model: path.model_at(lambda),
-                method,
-                lambda,
-                cv,
-                fit_seconds: 0.0,
-            }
+            let model = StarConfig::new(lambda).fit(g, f)?.model_at(lambda);
+            (model, lambda, cv)
+        }
+        Method::Lar | Method::LarLasso | Method::Omp => {
+            let one_batch = StreamConfig::new(g.num_rows().max(1));
+            return Ok(fit_streaming(g, f, method, order, &one_batch)?.report);
         }
     };
     Ok(FitReport {
+        model,
+        method,
+        lambda,
+        cv,
         fit_seconds: t0.elapsed().as_secs_f64(),
-        ..report
     })
 }
 
@@ -178,8 +175,8 @@ pub struct StreamConfig {
     /// Sample rows per produced batch (the pipeline's work unit).
     pub batch: usize,
     /// Stop the cross-validation `λ` walk early once the mean error
-    /// curve flattens (`None` = explore the full `λ` range, matching
-    /// the batch driver).
+    /// curve flattens (`None` = explore the full `λ` range, as [`fit`]
+    /// does).
     pub early_stop: Option<EarlyStopRule>,
 }
 
@@ -219,19 +216,23 @@ pub struct StreamReport {
 
 /// Fits `G·α = F` with the sample→fit pipeline: runtime workers sweep
 /// `stream.batch`-row batches into [`SampleDelta`]s in parallel while
-/// the fitter consumes them in row order via
-/// [`MethodSession::apply_delta`] — fitting state accumulates while
-/// later batches are still being produced.
+/// the fitter applies them in row order via
+/// [`FitSession::apply_delta`] — fitting state accumulates while later
+/// batches are still being produced. One batch (`stream.batch >= K`)
+/// is folded inline, so its delta sweeps `g` with the source's own
+/// parallel kernels; that is [`fit`].
 ///
 /// With [`ModelOrder::CrossValidated`], the folds are walked in
-/// `λ`-lockstep by the same engine as [`fit`] (see [`crate::select`]),
-/// and the walk stops early once the mean error curve flattens under
-/// [`StreamConfig::early_stop`]. The explored prefix of the error curve
-/// is identical to the batch driver's.
+/// `λ`-lockstep by the engine in [`crate::select`], and the walk stops
+/// early once the mean error curve flattens under
+/// [`StreamConfig::early_stop`]. The folds do not depend on the batch
+/// size, so the explored prefix of the error curve is the same for
+/// every batch size.
 ///
-/// Multi-batch sweep accumulation differs from the batch driver's
-/// single sweep in low-order bits, but is bit-identical across thread
-/// counts for a fixed batch size (deltas fold in row order).
+/// Multi-batch sweep accumulation differs from the single sweep in
+/// low-order bits for LAR (plain OMP reads no sweep), but is
+/// bit-identical across thread counts for a fixed batch size (deltas
+/// fold in row order).
 ///
 /// # Errors
 ///
@@ -271,7 +272,7 @@ pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
         return Err(CoreError::BadConfig("lambda must be at least 1".into()));
     }
     let mut full = MethodSession::new(method, lambda_max, m)?;
-    let needs_c0 = full.needs_correlations();
+    let sweeps = full.sweeps();
 
     // Pipelined production: the map side runs on the worker pool, the
     // fold side applies deltas in row order as they arrive.
@@ -281,7 +282,7 @@ pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
     rsm_runtime::par_chunks_reduce_until(
         k,
         stream.batch,
-        |r: Range<usize>| SampleDelta::compute(g, f, r, needs_c0),
+        |r: Range<usize>| SampleDelta::compute(g, f, r, sweeps),
         |d| match full.apply_delta(d) {
             Ok(()) => {
                 batches += 1;

@@ -14,6 +14,7 @@
 
 use crate::model::SparseModel;
 use crate::path::SparsePath;
+use crate::session::nan_correlation;
 use crate::source::AtomSource;
 use crate::{CoreError, Result};
 use rsm_linalg::tol;
@@ -43,7 +44,9 @@ impl StarConfig {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::omp::OmpConfig::fit`].
+    /// Same contract as [`crate::omp::OmpConfig::fit`], including the
+    /// [`CoreError::Numerical`] refusal naming an atom whose correlation
+    /// is NaN (a non-finite sample).
     pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
         let (k, m) = (g.num_rows(), g.num_atoms());
         if f.len() != k {
@@ -79,9 +82,11 @@ impl StarConfig {
                 if in_model[j] {
                     continue;
                 }
+                let score = v.abs();
                 match best {
-                    Some((_, b)) if v.abs() <= b => {}
-                    _ => best = Some((j, v.abs())),
+                    Some((_, b)) if score <= b => {}
+                    _ if score.is_nan() => return Err(nan_correlation(j)),
+                    _ => best = Some((j, score)),
                 }
             }
             let Some((s, score)) = best else { break };

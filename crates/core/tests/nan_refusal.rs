@@ -1,12 +1,14 @@
-//! A NaN in the *sample* matrix must make LAR and OMP refuse with a
-//! structured error naming the atom, not return `Ok` with a wrong or
-//! NaN-laden model. The response `f` is computed from the clean samples
-//! first, so only the dictionary side carries the NaN.
+//! A NaN in the *sample* matrix must make LAR, OMP, STAR and lasso-CD
+//! refuse with a structured error naming the atom, not return `Ok` with
+//! a wrong or NaN-laden model. The response `f` is computed from the
+//! clean samples first, so only the dictionary side carries the NaN.
 
 use rsm_basis::{Dictionary, DictionaryKind};
 use rsm_core::lar::LarConfig;
+use rsm_core::lasso_cd::LassoCdConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::source::DictionarySource;
+use rsm_core::star::StarConfig;
 use rsm_core::CoreError;
 use rsm_linalg::Matrix;
 use rsm_stats::NormalSampler;
@@ -35,9 +37,10 @@ fn poisoned(samples: &Matrix) -> Matrix {
 }
 
 /// Asserts a `Numerical` refusal whose message names an atom that
-/// really evaluates to NaN on the poisoned sample row.
+/// really evaluates to NaN on the poisoned sample row. `Ok` carries the
+/// support the solver would have returned.
 fn assert_refused(
-    result: rsm_core::Result<rsm_core::SparsePath>,
+    result: rsm_core::Result<Vec<usize>>,
     dict: &Dictionary,
     bad: &Matrix,
     solver: &str,
@@ -54,10 +57,7 @@ fn assert_refused(
             assert!(dict.eval_term(atom, bad.row(3)).is_nan(), "{solver}: {msg}");
         }
         Err(other) => panic!("{solver}: expected a numerical refusal, got {other}"),
-        Ok(path) => panic!(
-            "{solver}: NaN samples produced Ok with support {:?}",
-            path.final_model().support()
-        ),
+        Ok(support) => panic!("{solver}: NaN samples produced Ok with support {support:?}"),
     }
 }
 
@@ -79,7 +79,8 @@ fn omp_refuses_nan_samples() {
     let (dict, samples, f) = probe();
     let bad = poisoned(&samples);
     let src = DictionarySource::new(&dict, &bad);
-    assert_refused(OmpConfig::new(3).fit(&src, &f), &dict, &bad, "omp");
+    let fit = OmpConfig::new(3).fit(&src, &f);
+    assert_refused(fit.map(|p| p.final_model().support()), &dict, &bad, "omp");
 }
 
 #[test]
@@ -87,5 +88,24 @@ fn lar_refuses_nan_samples() {
     let (dict, samples, f) = probe();
     let bad = poisoned(&samples);
     let src = DictionarySource::new(&dict, &bad);
-    assert_refused(LarConfig::new(3).fit(&src, &f), &dict, &bad, "lar");
+    let fit = LarConfig::new(3).fit(&src, &f);
+    assert_refused(fit.map(|p| p.final_model().support()), &dict, &bad, "lar");
+}
+
+#[test]
+fn star_refuses_nan_samples() {
+    let (dict, samples, f) = probe();
+    let bad = poisoned(&samples);
+    let src = DictionarySource::new(&dict, &bad);
+    let fit = StarConfig::new(3).fit(&src, &f);
+    assert_refused(fit.map(|p| p.final_model().support()), &dict, &bad, "star");
+}
+
+#[test]
+fn lasso_cd_refuses_nan_samples() {
+    let (dict, samples, f) = probe();
+    let bad = poisoned(&samples);
+    let src = DictionarySource::new(&dict, &bad);
+    let fit = LassoCdConfig::new(0.1).fit(&src, &f);
+    assert_refused(fit.map(|m| m.support()), &dict, &bad, "lasso-cd");
 }

@@ -48,15 +48,16 @@ const CONSUME_METHOD: &str = "into_path";
 
 /// Non-consuming query surface — calling any of these on a consumed
 /// session is a use-after-consume.
-const QUERY_METHODS: [&str; 9] = [
+const QUERY_METHODS: [&str; 10] = [
     "is_converged",
     "is_finished",
     "model",
-    "needs_correlations",
+    "num_atoms",
     "path",
     "rows_seen",
     "selected",
     "steps_taken",
+    "sweeps",
     "sweeps_done",
 ];
 
